@@ -3,8 +3,9 @@
 Reports are printed to stdout as a single JSON document with keys in a fixed
 order; integer values larger than 2**53 are rendered as decimal strings so
 consumers using binary floating point cannot lose digits.  Diagnostics go to
-stderr as one line.  Exit codes: 0 success, 1 usage error, 2 parse error,
-3 infeasible parameters, 4 size limit exceeded.
+stderr as one line.  Exit codes: 0 success, 1 usage error, 2 parse error
+(including non-ASCII input and an empty corpus), 3 infeasible parameters,
+4 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .constructions import PartitionPlan, build_component_graph, component_plan
 from .constructions import max_dominating_pairs, max_total_dominating_pairs
 from .constructions import predicted_count
 from .domination import (
+    count_minimum,
     count_sets_with_witnesses,
     domination_number,
     total_domination_number,
@@ -109,16 +112,13 @@ def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
     graph = _load_graph(args)
     mode = _mode(args)
     report: dict[str, Any] = {"n": graph.n, "m": graph.m, "mode": mode}
-    if args.size is None:
-        if mode == "total":
-            size = total_domination_number(graph)
-        else:
-            size = domination_number(graph)
-        report["gamma"] = size
-    else:
-        size = args.size
     cap = args.witness_cap if args.witness_cap is not None else 0
-    count, witnesses = count_sets_with_witnesses(graph, size, mode, cap)
+    if args.size is None:
+        minimum = count_minimum(graph, mode, cap)
+        report["gamma"] = minimum.gamma
+        count, witnesses = minimum.count, minimum.witnesses
+    else:
+        count, witnesses = count_sets_with_witnesses(graph, args.size, mode, cap)
     report["count"] = _num(count)
     if args.witness_cap is not None:
         report["witnesses"] = [list(w.vertices()) for w in witnesses]
@@ -184,9 +184,11 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
         with open(args.corpus, "r", encoding="ascii") as handle:
-            record = extremal_scan(
-                iter_graph6(handle, strict=not args.lenient), mode
-            )
+            graphs = iter_graph6(handle, strict=not args.lenient)
+            first = next(graphs, None)
+            if first is None:
+                raise GraphParseError("no graph6 record found in corpus")
+            record = extremal_scan(chain([first], graphs), mode)
         if args.n is not None and record.n != args.n:
             raise MixedOrderError(
                 f"corpus has order {record.n}, --n {args.n} was requested"
@@ -215,6 +217,13 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict[str, Any]:
         "ratio": _fraction(result.ratio),
         "asymptote": _fraction(result.ratio_limit),
     }
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("count", help="exact count of (total) dominating sets")
     _add_input_options(sub)
-    sub.add_argument("--size", type=int, default=None, metavar="K",
+    sub.add_argument("--size", type=_nonnegative, default=None, metavar="K",
                      help="set size to count (default: the minimum size)")
     sub.add_argument("--total", action="store_true")
-    sub.add_argument("--witness-cap", type=int, default=None, metavar="M",
+    sub.add_argument("--witness-cap", type=_nonnegative, default=None, metavar="M",
                      help="include up to M witness sets in the report")
     sub.set_defaults(handler=_cmd_count)
 
@@ -310,7 +319,7 @@ def run_cli(argv: list[str]) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except (GraphParseError, MixedOrderError) as exc:
+    except (GraphParseError, MixedOrderError, UnicodeDecodeError) as exc:
         print(f"domcount: parse error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:

@@ -1,11 +1,20 @@
 """Exact domination predicates, numbers, and minimum-set counts.
 
-Counting is exhaustive subset enumeration over bit masks, in lexicographic
-k-combination order, with one pruning rule: a prefix is abandoned as soon as
-even the union of every remaining neighborhood cannot cover the vertex set.
-Counts are therefore exact, deterministic, and independent of enumeration
-chunking.  ``count_sets_naive`` re-implements the same contract with plain
-vertex lists and set arithmetic as an independent cross-check.
+Every number here comes from one walk, run on each connected component of
+the graph in place: lexicographic k-combinations of the component's
+vertices over bit masks, abandoning a prefix as soon as even the union of
+every remaining neighborhood cannot cover the component.  The last open
+slot is not enumerated: since adjacency is symmetric, the vertices that
+cover ``u`` are exactly ``rows[u]``, so the completions of a prefix are the
+later vertices in the intersection of ``rows[u]`` over its uncovered ``u``.
+
+Minimum (total) dominating sets multiply across components (the domination
+polynomial is multiplicative over disjoint unions), so the domination
+number is the sum of per-component numbers, a minimum count is the product
+of per-component counts, and a count at any size k convolves the
+per-component counts.  Counts are exact, deterministic, and independent of
+enumeration chunking.  ``count_sets_naive`` re-implements the same contract
+with plain vertex lists and set arithmetic as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -72,100 +81,248 @@ def is_total_dominating(g: Graph, s: VertexSet) -> bool:
     return covered == (1 << g.n) - 1
 
 
-def _exists_k_cover(rows: list[int], full: int, k: int) -> bool:
-    """Does some k-subset of vertices have coverage union == full?"""
-    n = len(rows)
-    if k < 0:
-        return False
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | rows[i]
-
-    def rec(start: int, slots: int, acc: int) -> bool:
-        if acc == full:
-            return True
-        if slots == 0:
-            return False
-        for j in range(start, n - slots + 1):
-            # suffix[j] shrinks with j, so the first failure ends the loop
-            if acc | suffix[j] != full:
-                return False
-            if rec(j + 1, slots - 1, acc | rows[j]):
-                return True
-        return False
-
-    return rec(0, k, 0)
+def _components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, in order of their lowest
+    vertex, by a bit-mask search over ``g.rows``."""
+    rows = g.rows
+    components = []
+    rest = (1 << g.n) - 1
+    while rest:
+        component = frontier = rest & -rest
+        # frontier: reached vertices whose neighbors are not yet added
+        while frontier and component != rest:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            new = rows[v] & ~component
+            component |= new
+            frontier |= new
+        components.append(component)
+        rest ^= component
+    return components
 
 
-def _count_k_covers(
-    rows: list[int], full: int, k: int, witness_cap: int = 0
+def _walk(
+    rows: list[int], component: int, k: int, witness_cap: int = 0,
+    first: bool = False,
 ) -> tuple[int, list[int]]:
-    """Count k-subsets with coverage union == full; optionally collect the
-    first ``witness_cap`` of them (lexicographic order) as vertex masks."""
-    n = len(rows)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | rows[i]
+    """Count the k-subsets of ``component`` whose coverage rows cover it.
+
+    ``rows`` holds coverage masks for the whole graph; the rows of a
+    component's vertices stay inside it, so the walk needs no relabelling.
+    Also returns the first ``witness_cap`` such subsets, as vertex masks in
+    lexicographic order.  With ``first`` the walk stops at the first cover,
+    so the count is nonzero exactly when one exists.
+    """
     total = 0
     witnesses: list[int] = []
 
-    def emit_completions(chosen: int, start: int, slots: int) -> None:
-        room = witness_cap - len(witnesses)
-        if room <= 0:
-            return
-        for rest in combinations(range(start, n), slots):
-            mask = chosen
-            for v in rest:
-                mask |= 1 << v
-            witnesses.append(mask)
-            room -= 1
-            if room == 0:
-                return
+    def last(candidates: int, acc: int, chosen: int) -> bool:
+        """Fill the last slot from ``candidates``; True means stop.
 
-    def rec(start: int, slots: int, acc: int, chosen: int) -> None:
+        Rows are symmetric, so rows[u] is the set of vertices that cover u:
+        the completions are the candidates in rows[u] for every u that
+        ``acc`` leaves uncovered.
+        """
         nonlocal total
-        if acc == full:
-            total += math.comb(n - start, slots)
-            if witness_cap:
-                emit_completions(chosen, start, slots)
-            return
-        if slots == 0:
-            return
-        for j in range(start, n - slots + 1):
-            if acc | suffix[j] != full:
-                return
-            rec(j + 1, slots - 1, acc | rows[j], chosen | 1 << j)
+        missing = component ^ acc
+        while missing:
+            u = missing.bit_length() - 1
+            candidates &= rows[u]
+            if not candidates:
+                return False
+            missing ^= 1 << u
+        total += candidates.bit_count()
+        while candidates and len(witnesses) < witness_cap:
+            low = candidates & -candidates
+            witnesses.append(chosen | low)
+            candidates ^= low
+        return first
+
+    if k == 1:
+        last(component, 0, 0)
+        return total, witnesses
+    bits = []
+    own = []
+    rest = component
+    while rest:
+        low = rest & -rest
+        bits.append(low)
+        own.append(rows[low.bit_length() - 1])
+        rest ^= low
+    c = len(bits)
+    if not 0 < k <= c:
+        return 0, []
+    suffix = own + [0]  # suffix[i]: union of own[i:]
+    for i in range(c - 2, -1, -1):
+        suffix[i] |= suffix[i + 1]
+
+    def rec(i: int, slots: int, acc: int, chosen: int) -> bool:
+        """Choose the remaining ``slots`` >= 2 vertices from bits[i:]."""
+        nonlocal total
+        if acc == component:
+            total += math.comb(c - i, slots)
+            if len(witnesses) < witness_cap:
+                for extra in combinations(bits[i:], slots):
+                    witnesses.append(chosen | sum(extra))
+                    if len(witnesses) == witness_cap:
+                        break
+            return first
+        for j in range(i, c - slots + 1):
+            # suffix[j] shrinks with j, so the first failure ends the loop
+            if acc | suffix[j] != component:
+                return False
+            if slots == 2:
+                if last(component & -bits[j + 1], acc | own[j], chosen | bits[j]):
+                    return True
+            elif rec(j + 1, slots - 1, acc | own[j], chosen | bits[j]):
+                return True
+        return False
 
     rec(0, k, 0, 0)
     return total, witnesses
 
 
-def domination_number(g: Graph) -> int:
-    """Smallest size of a dominating set, by iterative deepening k = 1, 2, ..."""
+def _component_gammas(
+    rows: list[int], components: list[int], k: int
+) -> list[int] | None:
+    """Smallest cover size of each component, by iterative deepening, or
+    None as soon as they cannot sum to at most k.  Every component takes
+    at least one vertex, which bounds each deepening."""
+    spare = k - len(components)
+    gammas = []
+    for component in components:
+        for size in range(1, min(spare + 1, component.bit_count()) + 1):
+            if _walk(rows, component, size, first=True)[0]:
+                break
+        else:
+            return None
+        spare -= size - 1
+        gammas.append(size)
+    return gammas
+
+
+def _lex_key(mask: int) -> tuple[int, ...]:
+    """Sorted vertices of ``mask``; on sets of one size, tuple order is the
+    walk's lexicographic order."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vertices)
+
+
+def _first_unions(pairs: list[tuple[list[int], list[int]]], cap: int) -> list[int]:
+    """The first ``cap`` sets x | y, in lexicographic order, over pairs of
+    sorted lists (xs, ys) whose sets lie in two disjoint vertex sets L, R.
+
+    Two sets of one size compare by the lowest vertex of their symmetric
+    difference: the set that holds it comes first.  So if W is among the
+    first ``cap`` covers of L | R, W & L is among the first ``cap`` covers
+    of L at its size.  Otherwise ``cap`` covers X of L precede W & L, and
+    each (W - L) | X is a cover of L | R that precedes W, since it differs
+    from W only inside L.  The same holds for R.  Hence when each list holds
+    the first ``cap`` covers of its side at its size, the first ``cap``
+    covers of L | R each join a listed x to a listed y.  x | y moves later
+    as either x or y alone moves later, so xs[a] | ys[b] comes after the
+    (a + 1) * (b + 1) - 1 other joins xs[a'] | ys[b'] with a' <= a and
+    b' <= b; only joins with (a + 1) * (b + 1) <= cap can be among the
+    first ``cap``, and sorting those finds them.
+    """
+    joins = [
+        xs[a] | ys[b]
+        for xs, ys in pairs
+        for a in range(len(xs))
+        for b in range(min(len(ys), cap // (a + 1)))
+    ]
+    return sorted(joins, key=_lex_key)[:cap]
+
+
+Table = dict[int, tuple[int, list[int]]]
+
+
+def _fold(left: Table, right: Table, top: int, cap: int) -> Table:
+    """Cover table of the union of two disjoint vertex sets.
+
+    A table maps a size s to ``(count, first)``: how many s-subsets cover
+    the vertex set, and the first ``cap`` of them in lexicographic order, as
+    masks.  Counts convolve and lists merge by :func:`_first_unions`; sizes
+    above ``top`` are dropped.
+    """
+    counts: dict[int, int] = {}
+    pairs: dict[int, list[tuple[list[int], list[int]]]] = {}
+    for s, (left_count, xs) in left.items():
+        for j, (right_count, ys) in right.items():
+            if s + j <= top:
+                counts[s + j] = counts.get(s + j, 0) + left_count * right_count
+                pairs.setdefault(s + j, []).append((xs, ys))
+    return {t: (count, _first_unions(pairs[t], cap)) for t, count in counts.items()}
+
+
+def _count_union(
+    rows: list[int], components: list[int], gammas: list[int], k: int,
+    witness_cap: int,
+) -> tuple[int, list[int]]:
+    """Count of k-covers of the union of ``components`` and the first
+    ``witness_cap`` of them.  Component C takes sizes from its own minimum
+    up to k minus the other components' minimums."""
+    slack = k - sum(gammas)
+    table: Table = {0: (1, [0][:witness_cap])}
+    floor = 0
+    for component, gamma in zip(components, gammas):
+        floor += gamma
+        sizes = range(gamma, min(gamma + slack, component.bit_count()) + 1)
+        part = {j: _walk(rows, component, j, witness_cap) for j in sizes}
+        table = _fold(table, part, floor + slack, witness_cap)
+    return table.get(k, (0, []))
+
+
+def _minimum_parts(g: Graph, mode: str) -> tuple[list[int], list[int], list[int]]:
+    """Coverage rows, components and per-component minimum cover sizes."""
     if g.n < 1:
-        raise ValueError("domination number is undefined for the empty graph")
-    full = (1 << g.n) - 1
-    rows = _cover_rows(g, "dominating")
-    for k in range(1, g.n + 1):
-        if _exists_k_cover(rows, full, k):
-            return k
-    raise AssertionError("unreachable: the whole vertex set always dominates")
+        prefix = "total " if mode == "total" else ""
+        raise ValueError(f"{prefix}domination number is undefined for the empty graph")
+    if mode == "total" and g.has_isolated_vertex():
+        raise UndefinedTotalDominationError(
+            "total domination is undefined: graph has an isolated vertex"
+        )
+    rows = _cover_rows(g, mode)
+    components = _components(g)
+    return rows, components, _component_gammas(rows, components, g.n)
+
+
+def domination_number(g: Graph) -> int:
+    """Smallest size of a dominating set: the sum over components."""
+    return sum(_minimum_parts(g, "dominating")[2])
 
 
 def total_domination_number(g: Graph) -> int:
     """Smallest size of a total dominating set; requires no isolated vertex."""
-    if g.n < 1:
-        raise ValueError("total domination number is undefined for the empty graph")
-    if g.has_isolated_vertex():
-        raise UndefinedTotalDominationError(
-            "total domination is undefined: graph has an isolated vertex"
-        )
-    full = (1 << g.n) - 1
-    rows = _cover_rows(g, "total")
-    for k in range(1, g.n + 1):
-        if _exists_k_cover(rows, full, k):
-            return k
-    raise AssertionError("unreachable: V totally dominates when no vertex is isolated")
+    return sum(_minimum_parts(g, "total")[2])
+
+
+def _count_covers(
+    g: Graph, k: int, mode: Mode, witness_cap: int
+) -> tuple[int, list[int]]:
+    """Count and first ``witness_cap`` masks behind :func:`count_sets` and
+    :func:`count_sets_with_witnesses`."""
+    _require_mode(mode)
+    _require_countable(g)
+    if k < 0:
+        raise ValueError(f"subset size must be nonnegative, got {k}")
+    if witness_cap < 0:
+        raise ValueError("witness_cap must be nonnegative")
+    rows = _cover_rows(g, mode)
+    if k > g.n or 0 in rows:  # a vertex nothing covers: isolated, total mode
+        return 0, []
+    # one vertex covers no two components, so k = 1 needs no split
+    components = [(1 << g.n) - 1] if k == 1 else _components(g)
+    if len(components) == 1:
+        return _walk(rows, components[0], k, witness_cap)
+    gammas = _component_gammas(rows, components, k)
+    if gammas is None:
+        return 0, []
+    return _count_union(rows, components, gammas, k, witness_cap)
 
 
 def count_sets(g: Graph, k: int, mode: Mode) -> int:
@@ -174,8 +331,7 @@ def count_sets(g: Graph, k: int, mode: Mode) -> int:
     Requires n <= 64.  The count is independent of vertex labeling and of
     any enumeration chunking.
     """
-    count, _ = count_sets_with_witnesses(g, k, mode, 0)
-    return count
+    return _count_covers(g, k, mode, 0)[0]
 
 
 def count_sets_with_witnesses(
@@ -183,16 +339,7 @@ def count_sets_with_witnesses(
 ) -> tuple[int, tuple[VertexSet, ...]]:
     """Like :func:`count_sets`, also returning up to ``witness_cap`` of the
     qualifying sets in lexicographic order."""
-    _require_mode(mode)
-    _require_countable(g)
-    if k < 0:
-        raise ValueError(f"subset size must be nonnegative, got {k}")
-    if witness_cap < 0:
-        raise ValueError("witness_cap must be nonnegative")
-    if k > g.n:
-        return 0, ()
-    full = (1 << g.n) - 1
-    count, masks = _count_k_covers(_cover_rows(g, mode), full, k, witness_cap)
+    count, masks = _count_covers(g, k, mode, witness_cap)
     return count, tuple(VertexSet(g.n, mask) for mask in masks)
 
 
@@ -218,11 +365,10 @@ def count_minimum(
     _require_countable(g)
     if witness_cap < 0:
         raise ValueError("witness_cap must be nonnegative")
-    if mode == "total":
-        gamma = total_domination_number(g)
-    else:
-        gamma = domination_number(g)
-    count, witnesses = count_sets_with_witnesses(g, gamma, mode, witness_cap)
+    rows, components, gammas = _minimum_parts(g, mode)
+    gamma = sum(gammas)
+    count, masks = _count_union(rows, components, gammas, gamma, witness_cap)
+    witnesses = tuple(VertexSet(g.n, mask) for mask in masks)
     return DominationReport(mode=mode, gamma=gamma, count=count, witnesses=witnesses)
 
 

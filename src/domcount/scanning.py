@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .constructions import component_plan, predicted_count
-from .domination import Mode, _cover_rows, _exists_k_cover, count_sets
+from .domination import Mode, count_sets, domination_number
 from .errors import MixedOrderError, SizeLimitError
 from .graph6 import write_graph6
 from .graphs import Graph
@@ -106,13 +106,15 @@ def extremal_scan(
         scanned += 1
         if mode == "total" and g.has_isolated_vertex():
             continue
-        closed = _cover_rows(g, "dominating")
-        full = (1 << g.n) - 1
-        if _exists_k_cover(closed, full, target_gamma - 1):
-            continue  # domination number below target
+        if target_gamma == 2:
+            full = (1 << g.n) - 1
+            if any(row | 1 << v == full for v, row in enumerate(g.rows)):
+                continue  # a dominating vertex: domination number 1
         count = count_sets(g, target_gamma, mode)
         if count == 0:
             continue  # domination number above target, or no total set
+        if target_gamma != 2 and domination_number(g) < target_gamma:
+            continue  # domination number below target
         if count > best_count:
             best_count = count
             best_witness = write_graph6(g)

@@ -120,6 +120,20 @@ class TestGammaAndCount:
         code, _, err = run(capsys, "count", "--in", path)
         assert code == 4 and "size limit" in err
 
+    def test_non_ascii_input_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf8.g6"
+        path.write_bytes("C\u00e9~\n".encode("utf-8"))
+        code, report, err = run(capsys, "count", "--in", str(path))
+        assert code == 2 and report is None and "parse error" in err
+
+    @pytest.mark.parametrize("flag, value", [("--witness-cap", "-3"), ("--size", "-1")])
+    def test_negative_count_options_are_usage_errors(
+        self, capsys, g6_file, flag, value
+    ):
+        path = g6_file(cocktail_party(4))
+        code, report, err = run(capsys, "count", "--in", path, flag, value)
+        assert code == 1 and report is None and "nonnegative" in err
+
 
 class TestConstruct:
     def test_inline_graph6(self, capsys):
@@ -188,6 +202,13 @@ class TestOptimizeScanEfficiency:
         path.write_text(write_graph6(cocktail_party(4)) + "\n")
         code, _, _ = run(capsys, "scan", "--corpus", str(path), "--n", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_scan_empty_corpus_is_a_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.g6"
+        path.write_text(text)
+        code, report, err = run(capsys, "scan", "--corpus", str(path))
+        assert code == 2 and report is None and "no graph6 record" in err
 
     def test_scan_needs_source(self, capsys):
         code, _, _ = run(capsys, "scan")

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from domcount import (
     SizeLimitError,
     UndefinedTotalDominationError,
     VertexSet,
+    build_component_graph,
     complete_graph,
     complete_multipartite,
     count_minimum,
@@ -24,6 +26,7 @@ from domcount import (
     total_domination_number,
 )
 from domcount.scanning import graph_from_edge_mask
+from walk_oracle import whole_graph_walk
 
 
 def cycle(n):
@@ -227,3 +230,62 @@ class TestInvariantProperties:
         for k in (1, 2):
             for mode in ("dominating", "total"):
                 assert count_sets(g, k, mode) == count_sets(h, k, mode)
+
+
+@st.composite
+def disjoint_unions(draw, max_n: int = 12):
+    """Disjoint union of 1-4 random labeled graphs (K1 and graphs with
+    isolated vertices included) on at most ``max_n`` vertices, relabelled at
+    random so that the components interleave."""
+    parts = [draw(labeled_graphs(min_n=1, max_n=6))]
+    budget = max_n - parts[0].n
+    for _ in range(draw(st.integers(0, 3))):
+        if budget == 0:
+            break
+        parts.append(draw(labeled_graphs(min_n=1, max_n=min(6, budget))))
+        budget -= parts[-1].n
+    g = reduce(disjoint_union, parts)
+    return g.relabeled(draw(st.permutations(range(g.n))))
+
+
+class TestFactoredKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(disjoint_unions())
+    def test_matches_naive_counts_and_whole_graph_walk(self, g):
+        for mode in ("dominating", "total"):
+            naive = [count_sets_naive(g, k, mode) for k in range(g.n + 1)]
+            for k in range(g.n + 1):
+                assert count_sets(g, k, mode) == naive[k]
+                for cap in (1, 7, 1000):
+                    count, witnesses = count_sets_with_witnesses(g, k, mode, cap)
+                    assert count == naive[k]
+                    _, expected = whole_graph_walk(g, k, mode, cap)
+                    assert [w.mask for w in witnesses] == expected
+            if mode == "total" and g.has_isolated_vertex():
+                with pytest.raises(UndefinedTotalDominationError):
+                    total_domination_number(g)
+                with pytest.raises(UndefinedTotalDominationError):
+                    count_minimum(g, mode)
+                continue
+            gamma = next(k for k, count in enumerate(naive) if count)
+            if mode == "dominating":
+                assert domination_number(g) == gamma
+            else:
+                assert total_domination_number(g) == gamma
+            report = count_minimum(g, mode, witness_cap=7)
+            assert (report.gamma, report.count) == (gamma, naive[gamma])
+            expected = whole_graph_walk(g, gamma, mode, 7)[1]
+            assert [w.mask for w in report.witnesses] == expected
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_empty_graph_has_one_empty_set(self, mode):
+        g = new_graph(0)
+        assert count_sets(g, 0, mode) == 1
+        assert count_sets_with_witnesses(g, 0, mode, 1) == (1, (VertexSet(0, 0),))
+
+    def test_large_union_domination_number(self):
+        # K_200 and two pair-extremal components of 400 vertices: far past
+        # the counting cap, but each component takes only a short walk
+        g, plan = build_component_graph(1000, 5)
+        assert domination_number(g) == 5
+        assert total_domination_number(g) == 2 * len(plan.components)
