@@ -22,29 +22,28 @@ from math import comb
 from typing import Sequence
 
 from .errors import InfeasibleOrderError
-from .graphs import Graph, GraphBuilder, complete_graph, disjoint_union
+from .graphs import Graph, check_order, complete_graph, disjoint_union
 
 KIND_COMPLETE = "complete"
 KIND_PAIR = "pair"
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    """Complete multipartite graph; parts occupy consecutive vertex indices."""
+    """Complete multipartite graph; parts occupy consecutive vertex indices.
+
+    Each vertex is adjacent to every vertex outside its own part, so its row
+    is the full mask with the part's mask cleared.
+    """
     if any(size < 1 for size in part_sizes):
         raise InfeasibleOrderError("every part must have at least one vertex")
     n = sum(part_sizes)
-    builder = GraphBuilder(n)
-    starts = []
-    offset = 0
+    check_order(n)
+    full = (1 << n) - 1
+    rows: list[int] = []
     for size in part_sizes:
-        starts.append(offset)
-        offset += size
-    for a, size_a in enumerate(part_sizes):
-        for b in range(a + 1, len(part_sizes)):
-            for u in range(starts[a], starts[a] + size_a):
-                for v in range(starts[b], starts[b] + part_sizes[b]):
-                    builder.add_edge(u, v)
-    return builder.build()
+        part = ((1 << size) - 1) << len(rows)
+        rows.extend([full ^ part] * size)
+    return Graph(n, tuple(rows))
 
 
 def cocktail_party(n: int) -> Graph:
@@ -66,12 +65,8 @@ def pair_extremal_graph(r: int) -> Graph:
         raise InfeasibleOrderError(f"pair-extremal graph needs r >= 4, got {r}")
     if r % 2 == 0:
         return cocktail_party(r)
-    base = complete_multipartite([3] + [2] * ((r - 3) // 2))
-    builder = GraphBuilder(r)
-    for u, v in base.edges():
-        builder.add_edge(u, v)
-    builder.add_edge(0, 1)
-    return builder.build()
+    rows = complete_multipartite([3] + [2] * ((r - 3) // 2)).rows
+    return Graph(r, (rows[0] | 0b10, rows[1] | 0b01) + rows[2:])
 
 
 def max_dominating_pairs(n: int) -> int:

@@ -7,10 +7,23 @@ holds six upper-triangle adjacency bits, column-major -- (0,1), (0,2),
 (1,2), (0,3), ... -- most significant bit first, offset by 63.  Trailing
 padding bits must be zero; ``strict=False`` downgrades nonzero padding to
 a warning.
+
+The codec works on whole words, not single bits.  A data byte is 63 plus a
+6-bit value, and base64 spells the same 6-bit values with its own 64-letter
+alphabet, so one ``bytes.translate`` maps between the two and ``binascii``
+converts the body to and from one big integer, the bit stream.  The writer
+formats column j of that stream as the low j bits of ``rows[j]``, reversed,
+and joins the columns.  The parser has two paths, chosen by n.  Above
+``PER_PAIR_MAX_N`` it lays the columns out as the lower triangle of a
+row-major n x n character matrix; row v is then its own slice of row v plus
+the strided slice down column v, so C does the transpose.  Up to that order
+building the matrix costs more than the whole graph, so it walks the set
+bits of the stream integer and looks each one up in a pair table.
 """
 
 from __future__ import annotations
 
+import binascii
 import warnings
 from math import comb
 from typing import Iterable, Iterator
@@ -20,7 +33,22 @@ from .graphs import MAX_VERTICES, Graph, GraphBuilder
 
 HEADER = b">>graph6<<"
 
-_BYTE_BITS = [tuple(value >> (5 - i) & 1 for i in range(6)) for value in range(64)]
+_GRAPH6_DIGITS = bytes(range(63, 127))
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
+_TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
+
+# Largest order parsed by the per-pair walk rather than the matrix.  The
+# walk's cost grows with the edge count, the matrix's with C(n, 2) plus a
+# fixed setup.  Measured per record (2-vCPU x86, Python 3.11): on complete
+# graphs they cross near n = 12 (walk 7 us vs matrix 11 us at n = 8, 17 vs
+# 15 us at n = 12); at edge density 1/2 the walk stays ahead up to n = 20.
+PER_PAIR_MAX_N = 12
+
+# Pair k of the column-major stream as (i, 1 << j, j, 1 << i).
+_PAIRS = tuple(
+    (i, 1 << j, j, 1 << i) for j in range(PER_PAIR_MAX_N) for i in range(j)
+)
 
 
 def _decode_size(data: bytes, base: int) -> tuple[int, int]:
@@ -62,13 +90,14 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
         base = len(HEADER)
     if base == len(data):
         raise GraphParseError("empty graph6 record", position=base)
-    for offset in range(base, len(data)):
-        if not 63 <= data[offset] <= 126:
-            raise GraphParseError(
-                f"byte {data[offset]} out of graph6 range [63, 126] "
-                f"at offset {offset}",
-                position=offset,
-            )
+    if data[base:].translate(None, _GRAPH6_DIGITS):  # a byte is out of range
+        for offset in range(base, len(data)):
+            if not 63 <= data[offset] <= 126:
+                raise GraphParseError(
+                    f"byte {data[offset]} out of graph6 range [63, 126] "
+                    f"at offset {offset}",
+                    position=offset,
+                )
     n, consumed = _decode_size(data, base)
     if n > MAX_VERTICES:
         raise SizeLimitError(f"graph6 record has n={n}, cap is {MAX_VERTICES}")
@@ -87,22 +116,37 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
             f"adjacency bytes, got {len(body)})",
             position=base + consumed + nbytes,
         )
-    bits: list[int] = []
-    for b in body:
-        bits.extend(_BYTE_BITS[b - 63])
-    if any(bits[nbits:]):
+    encoded = body.translate(_TO_BASE64)
+    encoded += b"A" * (-len(encoded) % 4)  # "A" is six zero bits
+    stream = int.from_bytes(binascii.a2b_base64(encoded), "big")
+    padding = 6 * len(encoded) - nbits
+    if stream & ((1 << padding) - 1):
         message = "nonzero padding bits in graph6 record"
         if strict:
             raise GraphParseError(message, position=base + consumed + nbytes - 1)
         warnings.warn(message)
-    builder = GraphBuilder(n)
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            if bits[k]:
-                builder.add_edge(i, j)
-            k += 1
-    return builder.build()
+    stream >>= padding
+    if n <= PER_PAIR_MAX_N:
+        rows = [0] * n
+        last = nbits - 1  # pair k of the stream is bit last - k
+        while stream:
+            top = stream.bit_length() - 1
+            i, bit_j, j, bit_i = _PAIRS[last - top]
+            rows[i] |= bit_j
+            rows[j] |= bit_i
+            stream ^= 1 << top
+    else:
+        bits = format(stream, f"0{nbits}b")
+        zeros = "0" * n
+        # Row j holds column j of the stream: (i, j) at j*n + i for i < j.
+        matrix = "".join(
+            bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)
+        )
+        rows = [
+            int((matrix[v * n : v * n + v] + matrix[v * n + v :: n])[::-1], 2)
+            for v in range(n)
+        ]
+    return Graph(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:
@@ -114,26 +158,21 @@ def write_graph6(g: Graph) -> str:
         out = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:  # unreachable under MAX_VERTICES, kept for the format's sake
         out = [126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)]
-    acc = 0
-    width = 0
-    for j in range(n):
-        column = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (column >> i & 1)
-            width += 1
-            if width == 6:
-                out.append(acc + 63)
-                acc = 0
-                width = 0
-    if width:
-        out.append((acc << (6 - width)) + 63)
-    return bytes(out).decode("ascii")
+    # Column j is the low j bits of rows[j], vertex 0 first.
+    bits = "".join(
+        format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
+    )
+    nbytes = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole base64 quads: no "=" padding
+    words = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(words, newline=False)[:nbytes]
+    return (bytes(out) + body.translate(_TO_GRAPH6)).decode("ascii")
 
 
 def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[Graph]:
     """Parse a stream of graph6 records, one per line; blank lines skipped."""
     for line in lines:
-        stripped = line.strip() if isinstance(line, str) else line.strip()
+        stripped = line.strip()
         if not stripped:
             continue
         yield parse_graph6(stripped, strict=strict)

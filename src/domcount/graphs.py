@@ -17,7 +17,8 @@ from .errors import InfeasibleOrderError, InvalidEdgeError, SizeLimitError
 MAX_VERTICES = 4096
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Reject a negative vertex count or one past ``MAX_VERTICES``."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
@@ -74,7 +75,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        _check_order(self.n)
+        check_order(self.n)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         for v, row in enumerate(self.rows):
@@ -162,7 +163,7 @@ class GraphBuilder:
     """
 
     def __init__(self, n: int):
-        _check_order(n)
+        check_order(n)
         self.n = n
         self._rows = [0] * n
 
@@ -182,7 +183,7 @@ class GraphBuilder:
 
 def new_graph(n: int) -> Graph:
     """Edgeless graph on n vertices."""
-    _check_order(n)
+    check_order(n)
     return Graph(n, (0,) * n)
 
 
@@ -197,13 +198,13 @@ def complete_graph(r: int) -> Graph:
     """K_r: every pair of the r vertices adjacent."""
     if r < 1:
         raise InfeasibleOrderError(f"complete graph needs r >= 1, got {r}")
-    _check_order(r)
+    check_order(r)
     full = (1 << r) - 1
     return Graph(r, tuple(full ^ (1 << v) for v in range(r)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; vertices of h are relabeled by offset g.n."""
-    _check_order(g.n + h.n)
+    check_order(g.n + h.n)
     rows = g.rows + tuple(row << g.n for row in h.rows)
     return Graph(g.n + h.n, rows)

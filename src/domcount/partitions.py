@@ -27,6 +27,7 @@ from .constructions import (
     require_feasible,
 )
 from .errors import InfeasibleOrderError, SizeLimitError
+from .graphs import check_order
 
 ORACLE_MAX_N = 30
 ORACLE_MAX_X = 6
@@ -71,9 +72,12 @@ def optimize_allocation(n: int, x: int) -> PartitionPlan:
     The search covers every number of complete and pair components
     consistent with x and every vertex split between them.  Ties go to
     fewer components, then to the lexicographically smallest sorted size
-    list.  Feasibility is as in :func:`constructions.component_plan`.
+    list.  Feasibility is as in :func:`constructions.component_plan`; n is
+    capped at ``MAX_VERTICES``, as for a construction, since the search is
+    quadratic in n.
     """
     require_feasible(n, x)
+    check_order(n)
     best_key = None
     best_split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for pair_count in range(x // 2 + 1):

@@ -134,17 +134,6 @@ def extremal_scan(
     )
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    counts = np.zeros(arr.shape, dtype=np.uint8)
-    work = arr.copy()
-    while work.any():
-        counts += (work & 1).astype(np.uint8)
-        work >>= 1
-    return counts
-
-
 def _coverage_rows(masks: np.ndarray, n: int, mode: str) -> list[np.ndarray]:
     """Per-vertex coverage masks for a block of edge masks (uint8, n <= 7)."""
     rows = [np.zeros(masks.shape, dtype=np.uint8) for _ in range(n)]
@@ -239,7 +228,7 @@ def labeled_max_edges_gamma2(
             eligible &= rows[v] != full
         if not eligible.any():
             continue
-        best = max(best, int(_popcount(masks[eligible]).max()))
+        best = max(best, int(np.bitwise_count(masks[eligible]).max()))
     if best < 0:
         raise ValueError(f"no graph on {n} vertices has domination number >= 2")
     return best

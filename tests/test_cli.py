@@ -179,6 +179,11 @@ class TestOptimizeScanEfficiency:
         assert report["predicted"] == 81
         assert [c["size"] for c in report["prescribed_plan"]] == [5, 5]
 
+    def test_optimize_vertex_cap(self, capsys):
+        code, report, err = run(capsys, "optimize", "--n", "5000", "--gamma", "3")
+        assert code == 4 and report is None
+        assert "vertex count 5000 exceeds cap 4096" in err
+
     def test_scan_builtin(self, capsys):
         code, report, _ = run(capsys, "scan", "--n", "5", "--total")
         assert code == 0

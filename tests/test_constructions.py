@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domcount import (
+    MAX_VERTICES,
     Component,
+    GraphBuilder,
     InfeasibleOrderError,
     PartitionPlan,
     build_component_graph,
@@ -16,8 +19,46 @@ from domcount import (
     max_edges_gamma2,
     max_total_dominating_pairs,
     pair_extremal_graph,
+    parse_graph6,
     predicted_count,
+    write_graph6,
 )
+
+
+def multipartite_reference(part_sizes, extra_edges=()):
+    """Complete multipartite graph built one edge at a time: every pair of
+    vertices in different parts, plus ``extra_edges``."""
+    part = [index for index, size in enumerate(part_sizes) for _ in range(size)]
+    builder = GraphBuilder(len(part))
+    for v in range(len(part)):
+        for u in range(v):
+            if part[u] != part[v]:
+                builder.add_edge(u, v)
+    for u, v in extra_edges:
+        builder.add_edge(u, v)
+    return builder.build()
+
+
+class TestRowMaskConstructions:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
+    def test_complete_multipartite_matches_edge_by_edge(self, part_sizes):
+        assert complete_multipartite(part_sizes).rows == (
+            multipartite_reference(part_sizes).rows
+        )
+
+    @pytest.mark.parametrize("r", range(4, 41))
+    def test_pair_extremal_matches_edge_by_edge(self, r):
+        if r % 2:
+            want = multipartite_reference([3] + [2] * ((r - 3) // 2), [(0, 1)])
+        else:
+            want = multipartite_reference([2] * (r // 2))
+        assert pair_extremal_graph(r).rows == want.rows
+
+    @pytest.mark.parametrize("x", [6, 7])
+    def test_graph6_round_trip_at_vertex_cap(self, x):
+        graph = build_component_graph(MAX_VERTICES, x)[0]
+        assert parse_graph6(write_graph6(graph)).rows == graph.rows
 
 
 class TestCocktailParty:

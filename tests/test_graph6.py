@@ -1,10 +1,14 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import graph6_oracle as oracle
 from domcount import (
     GraphParseError,
     SizeLimitError,
+    build_component_graph,
     cocktail_party,
     complete_graph,
     enumerate_labeled_graphs,
@@ -16,7 +20,46 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
+from domcount.graph6 import PER_PAIR_MAX_N
 from domcount.scanning import graph_from_edge_mask
+
+
+@st.composite
+def graphs_by_density(draw, max_n: int = 80):
+    """Random graph with n <= max_n, each edge present with a drawn
+    probability from 0 to 1, so sparse, dense, empty and complete graphs
+    all occur at every order."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+    return from_edges(n, edges)
+
+
+def parse_outcome(parse, data, strict):
+    """What parsing ``data`` did: the rows and any warning messages, or the
+    error's type, message and position."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows = parse(data, strict=strict).rows
+        except (GraphParseError, SizeLimitError) as exc:
+            return type(exc), str(exc), getattr(exc, "position", None)
+    return rows, [str(w.message) for w in caught]
+
+
+def malformed_variants(record: bytes, cut: int, byte: int) -> dict[str, bytes]:
+    """Broken copies of a valid record: a byte out of range, cut short,
+    one byte too many, and (when there are padding bits) a padding bit set."""
+    n = oracle.parse_graph6(record).n
+    variants = {
+        "out_of_range": record[:cut] + bytes([byte]) + record[cut + 1 :],
+        "truncated": record[: cut % len(record)],
+        "trailing": record + b"?",
+    }
+    if n * (n - 1) // 2 % 6:
+        variants["padding"] = record[:-1] + bytes([(record[-1] - 63 | 1) + 63])
+    return variants
 
 
 class TestParseGraph6:
@@ -109,6 +152,67 @@ class TestWriteGraph6:
     def test_round_trip_extended_with_edges(self):
         g = from_edges(70, [(0, 69), (1, 2), (68, 69)])
         assert parse_graph6(write_graph6(g)).rows == g.rows
+
+
+class TestOracleEquivalence:
+    """The word-level codec against the former bit-by-bit one, on both sides
+    of the per-pair/matrix parse choice and of the 62/63 size-field switch."""
+
+    def test_orders_cover_both_parsers(self):
+        assert 0 < PER_PAIR_MAX_N < 62
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph=graphs_by_density(),
+        cut=st.integers(0, 2**16),
+        byte=st.sampled_from([0, 10, 32, 62, 127, 200, 255]),
+    )
+    def test_matches_oracle(self, graph, cut, byte):
+        record = write_graph6(graph)
+        assert record == oracle.write_graph6(graph)
+        data = record.encode()
+        for framed in (data, b">>graph6<<" + data + b"\n"):
+            assert parse_graph6(framed).rows == graph.rows
+            assert oracle.parse_graph6(framed).rows == graph.rows
+        for name, variant in malformed_variants(data, cut % len(data), byte).items():
+            strict = parse_outcome(parse_graph6, variant, True)
+            assert strict == parse_outcome(oracle.parse_graph6, variant, True), name
+            assert strict[0] in (GraphParseError, SizeLimitError), name
+            lenient = parse_outcome(parse_graph6, variant, False)
+            assert lenient == parse_outcome(oracle.parse_graph6, variant, False), name
+            if name == "padding":
+                assert lenient == (graph.rows, ["nonzero padding bits in graph6 record"])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 13, 62, 63])
+    def test_complete_and_edgeless_at_boundaries(self, n):
+        for graph in (new_graph(n), from_edges(n, [(i, j) for j in range(n) for i in range(j)])):
+            record = write_graph6(graph)
+            assert record == oracle.write_graph6(graph)
+            assert parse_graph6(record).rows == graph.rows
+
+
+class TestNetworkxCrossCheck:
+    """networkx's graph6 codec is an independent implementation of the spec."""
+
+    def check(self, graph):
+        nx = pytest.importorskip("networkx")
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(graph.n))
+        theirs.add_edges_from(graph.edges())
+        record = write_graph6(graph)
+        assert nx.to_graph6_bytes(theirs, header=False) == (record + "\n").encode()
+        parsed = nx.from_graph6_bytes(record.encode())
+        assert {tuple(sorted(e)) for e in parsed.edges()} == set(
+            parse_graph6(record).edges()
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=graphs_by_density())
+    def test_random_graphs(self, graph):
+        self.check(graph)
+
+    def test_construction(self):
+        self.check(build_component_graph(300, 7)[0])
 
 
 class TestIterGraph6:
