@@ -20,7 +20,6 @@ from typing import Any
 
 from .constructions import PartitionPlan, build_component_graph, component_plan
 from .constructions import max_dominating_pairs, max_total_dominating_pairs
-from .constructions import predicted_count
 from .domination import (
     count_minimum,
     count_sets_with_witnesses,
@@ -132,7 +131,7 @@ def _cmd_construct(args: argparse.Namespace) -> dict[str, Any]:
         "m": graph.m,
         "gamma": args.gamma,
         "plan": _plan_json(plan),
-        "predicted": _num(predicted_count(plan)),
+        "predicted": _num(plan.total_count),
     }
     if args.out:
         payload = (
@@ -163,7 +162,7 @@ def _cmd_formula(args: argparse.Namespace) -> dict[str, Any]:
     elif x == 2:
         count = max_dominating_pairs(n)
     else:
-        count = predicted_count(component_plan(n, x))
+        count = component_plan(n, x).total_count
     return {"n": n, "mode": mode, "gamma": x, "count": _num(count)}
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InfeasibleOrderError
 from .graphs import Graph, check_order, complete_graph, disjoint_union
@@ -119,8 +119,6 @@ class Component:
 
     def __post_init__(self):
         component_count(self.kind, self.size)  # validates kind and size
-        if self.kind == KIND_PAIR and self.size < 4:
-            raise InfeasibleOrderError("pair component needs size >= 4")
 
     @property
     def gamma(self) -> int:
@@ -157,12 +155,6 @@ class PartitionPlan:
         return tuple(sorted(c.size for c in self.components))
 
 
-def predicted_count(plan: PartitionPlan) -> int:
-    """Product of component counts, using exact parity-aware values
-    (C(r,2) - 1 for odd pair components, not the asymptotic C(r,2))."""
-    return plan.total_count
-
-
 def require_feasible(n: int, x: int) -> None:
     """Raise unless some union construction with domination number x fits
     on exactly n vertices (see :func:`component_plan` for the bounds)."""
@@ -183,35 +175,31 @@ def require_feasible(n: int, x: int) -> None:
         )
 
 
+def balanced_split(total: int, parts: int) -> list[int]:
+    """``total`` split into ``parts`` sizes that differ by at most 1, larger
+    sizes first."""
+    return [(total + i) // parts for i in reversed(range(parts))]
+
+
+def union_plan(
+    n: int, x: int, pair_split: Callable[[int, int], Sequence[int]]
+) -> PartitionPlan:
+    """Plan for (n, x) with one complete component of size floor(n/x) first
+    when x is odd, then x//2 pair components whose sizes are
+    ``pair_split(rest, x // 2)`` for the ``rest`` of the vertices."""
+    require_feasible(n, x)
+    complete = n // x if x % 2 else 0
+    components = [Component(KIND_COMPLETE, complete)] if complete else []
+    components += [Component(KIND_PAIR, s) for s in pair_split(n - complete, x // 2)]
+    return PartitionPlan(n, x, tuple(components))
+
+
 def component_plan(n: int, x: int) -> PartitionPlan:
     """The prescribed allocation of n vertices to components summing to
-    domination number x.
-
-    x=1: one complete component.  x=2: one pair component.  Even x >= 4:
-    x/2 pair components with sizes as equal as possible (extra vertices to
-    lower-index components).  Odd x >= 3: one complete component of size
-    floor(n/x) and (x-1)/2 pair components of base size 2*floor(n/x); the
-    n mod x leftover vertices go to the pair components as evenly as
-    possible, lower index first.
-    """
-    require_feasible(n, x)
-    if x == 1:
-        return PartitionPlan(n, x, (Component(KIND_COMPLETE, n),))
-    if x == 2:
-        return PartitionPlan(n, x, (Component(KIND_PAIR, n),))
-    if x % 2 == 0:
-        pairs = x // 2
-        base, extra = divmod(n, pairs)
-        sizes = [base + 1 if i < extra else base for i in range(pairs)]
-        return PartitionPlan(n, x, tuple(Component(KIND_PAIR, s) for s in sizes))
-    pairs = (x - 1) // 2
-    base, leftover = divmod(n, x)
-    each, extra = divmod(leftover, pairs)
-    sizes = [2 * base + each + (1 if i < extra else 0) for i in range(pairs)]
-    components = (Component(KIND_COMPLETE, base),) + tuple(
-        Component(KIND_PAIR, s) for s in sizes
-    )
-    return PartitionPlan(n, x, components)
+    domination number x: a :func:`union_plan` whose pair sizes are as equal
+    as possible, larger sizes first.  So x=1 is one complete component and
+    x=2 one pair component."""
+    return union_plan(n, x, balanced_split)
 
 
 def graph_from_plan(plan: PartitionPlan) -> Graph:
@@ -232,7 +220,7 @@ def graph_from_plan(plan: PartitionPlan) -> Graph:
 def build_component_graph(n: int, x: int) -> tuple[Graph, PartitionPlan]:
     """Build the union construction for (n, x) and return it with its plan.
 
-    The result has domination number exactly x and ``predicted_count(plan)``
+    The result has domination number exactly x and ``plan.total_count``
     dominating x-sets.  The construction is intentionally disconnected for
     x >= 3; adding connector edges would change the counts.
     """

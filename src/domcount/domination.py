@@ -54,31 +54,30 @@ def _cover_rows(g: Graph, mode: str) -> list[int]:
     return list(g.rows)
 
 
-def is_dominating(g: Graph, s: VertexSet) -> bool:
-    """True iff every vertex outside s has a neighbor in s (members count
-    as covered by themselves)."""
+def _covers(g: Graph, s: VertexSet, mode: Mode) -> bool:
+    """True iff the members' coverage masks (see :func:`_cover_rows`) cover
+    every vertex of g."""
     if s.n != g.n:
         raise ValueError(f"vertex set is over n={s.n}, graph has n={g.n}")
+    closed = mode == "dominating"
     covered = 0
     mask = s.mask
     while mask:
         v = (mask & -mask).bit_length() - 1
-        covered |= g.rows[v] | 1 << v
+        covered |= g.rows[v] | closed << v
         mask &= mask - 1
     return covered == (1 << g.n) - 1
+
+
+def is_dominating(g: Graph, s: VertexSet) -> bool:
+    """True iff every vertex outside s has a neighbor in s (members count
+    as covered by themselves)."""
+    return _covers(g, s, "dominating")
 
 
 def is_total_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex of g (members of s included) has a neighbor in s."""
-    if s.n != g.n:
-        raise ValueError(f"vertex set is over n={s.n}, graph has n={g.n}")
-    covered = 0
-    mask = s.mask
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        covered |= g.rows[v]
-        mask &= mask - 1
-    return covered == (1 << g.n) - 1
+    return _covers(g, s, "total")
 
 
 def _components(g: Graph) -> list[int]:

@@ -1,13 +1,15 @@
 """Exact optimization of the component decomposition.
 
-Given n vertices and a target domination number x, search every way of
-splitting the vertices into complete components (domination number 1, at
-least 1 vertex) and pair-extremal components (domination number 2, at least
-4 vertices) so the per-component domination numbers sum to x, and maximize
-the product of per-component minimum-set counts.
+Given n vertices and a target domination number x, find the split of the
+vertices into complete components (domination number 1, at least 1 vertex)
+and pair-extremal components (domination number 2, at least 4 vertices)
+whose domination numbers sum to x and whose product of per-component
+minimum-set counts is largest.  An exchange argument (see
+:func:`optimize_allocation`) pins the optimum down to one balanced rule,
+computed directly.
 
-The search uses exact parity-aware counts (C(r,2) - 1 for odd pair sizes),
-so the optimum can differ from an equal split by one vertex: for example
+The counts are exact and parity-aware (C(r,2) - 1 for odd pair sizes), so
+the optimum can differ from an equal split by one vertex: for example
 (n=10, x=4) the best sizes are {4, 6} with 6*15 = 90, beating the equal
 split {5, 5} with 9*9 = 81.
 """
@@ -15,16 +17,13 @@ split {5, 5} with 9*9 = 81.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .constructions import (
-    KIND_COMPLETE,
-    KIND_PAIR,
-    Component,
     PartitionPlan,
+    balanced_split,
     max_dominating_pairs,
-    require_feasible,
+    union_plan,
 )
 from .errors import InfeasibleOrderError, SizeLimitError
 from .graphs import check_order
@@ -33,78 +32,51 @@ ORACLE_MAX_N = 30
 ORACLE_MAX_X = 6
 
 
-@lru_cache(maxsize=None)
-def _best_complete_split(q: int, total: int) -> tuple[int, tuple[int, ...]] | None:
-    """Best way to split ``total`` vertices into q complete components:
-    (max product of sizes, lexicographically smallest sorted size tuple)."""
-    if q == 0:
-        return (1, ()) if total == 0 else None
-    best = None
-    for s in range(1, total - (q - 1) + 1):
-        sub = _best_complete_split(q - 1, total - s)
-        if sub is None:
-            continue
-        cand = (s * sub[0], tuple(sorted(sub[1] + (s,))))
-        if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-            best = cand
-    return best
-
-
-@lru_cache(maxsize=None)
-def _best_pair_split(q: int, total: int) -> tuple[int, tuple[int, ...]] | None:
-    """Best way to split ``total`` vertices into q pair-extremal components."""
-    if q == 0:
-        return (1, ()) if total == 0 else None
-    best = None
-    for s in range(4, total - 4 * (q - 1) + 1):
-        sub = _best_pair_split(q - 1, total - s)
-        if sub is None:
-            continue
-        cand = (max_dominating_pairs(s) * sub[0], tuple(sorted(sub[1] + (s,))))
-        if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-            best = cand
-    return best
+def _pair_sizes(rest: int, pairs: int) -> list[int]:
+    """Pair sizes of the optimal plan (see :func:`optimize_allocation`),
+    ascending."""
+    sizes = [2 * s for s in balanced_split(rest // 2, pairs)]
+    if rest % 2:
+        sizes[-1] += 1
+    return sorted(sizes)
 
 
 def optimize_allocation(n: int, x: int) -> PartitionPlan:
     """Plan maximizing the product count over all decompositions.
 
-    The search covers every number of complete and pair components
-    consistent with x and every vertex split between them.  Ties go to
-    fewer components, then to the lexicographically smallest sorted size
-    list.  Feasibility is as in :func:`constructions.component_plan`; n is
-    capped at ``MAX_VERTICES``, as for a construction, since the search is
-    quadratic in n.
+    A :func:`constructions.union_plan`: odd x gets one complete component
+    of size floor(n/x), even x none.  The ``rest`` of the vertices go to
+    x//2 pair components: floor(rest/2) is split as evenly as possible,
+    each part is doubled, and an odd ``rest`` adds its last vertex to one
+    of the smallest parts.  The plan lists the complete component first,
+    then the pair sizes in ascending order.
+
+    Among plans with the largest product, ties go to fewer components, then
+    to the lexicographically smallest sorted size list.  The rule is exact
+    by three exchanges:
+
+    1. Two complete components of sizes r, r' never beat one pair
+       component of size r + r' >= 4: C(r + r', 2) - 1 >= r * r' (the
+       pairing inequality, :func:`check_pairing_inequality`), and the merge
+       leaves one component fewer.  So there is at most one complete
+       component, and x fixes how many: x mod 2.
+    2. For any two pair components, the best split of their total is
+       unique: two even sizes that differ by at most 2, or two consecutive
+       sizes when the total is odd.  So at most one pair size is odd, and
+       the multiset of pair sizes is fixed by ``rest`` and x//2; it is the
+       one built above.
+    3. Trading vertices between the complete component and the pair
+       components lands on floor(n/x).  Ties occur: (13, 3) gives 4 + 9 and
+       5 + 8, both with count 140, and the smaller size list (4, 9) wins.
+
+    The former search over every split is kept in the tests as an oracle;
+    the rule matches it plan for plan (kinds, sizes and order).
+    Feasibility is as in :func:`constructions.component_plan`; n is capped
+    at ``MAX_VERTICES``, the same cap as a construction.
     """
-    require_feasible(n, x)
+    plan = union_plan(n, x, _pair_sizes)
     check_order(n)
-    best_key = None
-    best_split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for pair_count in range(x // 2 + 1):
-        complete_count = x - 2 * pair_count
-        if complete_count + 4 * pair_count > n:
-            continue
-        pair_totals = (
-            range(4 * pair_count, n - complete_count + 1) if pair_count else (0,)
-        )
-        for pair_total in pair_totals:
-            sub_c = _best_complete_split(complete_count, n - pair_total)
-            sub_p = _best_pair_split(pair_count, pair_total)
-            if sub_c is None or sub_p is None:
-                continue
-            product = sub_c[0] * sub_p[0]
-            merged = tuple(sorted(sub_c[1] + sub_p[1]))
-            key = (-product, complete_count + pair_count, merged)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_split = (sub_c[1], sub_p[1])
-    if best_split is None:
-        raise InfeasibleOrderError(f"no decomposition exists for (n={n}, x={x})")
-    complete_sizes, pair_sizes = best_split
-    components = tuple(Component(KIND_COMPLETE, s) for s in complete_sizes) + tuple(
-        Component(KIND_PAIR, s) for s in pair_sizes
-    )
-    return PartitionPlan(n, x, components)
+    return plan
 
 
 def exhaustive_decomposition_oracle(n: int, x: int) -> int:

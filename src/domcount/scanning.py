@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .constructions import component_plan, predicted_count
+from .constructions import component_plan
 from .domination import Mode, count_sets, domination_number
 from .errors import MixedOrderError, SizeLimitError
 from .graph6 import write_graph6
@@ -255,11 +255,8 @@ class EfficiencyReport:
 def efficiency_ratio(n: int, x: int) -> EfficiencyReport:
     """Exact fraction of x-subsets that dominate the (n, x) construction."""
     plan = component_plan(n, x)
-    ratio = Fraction(predicted_count(plan), comb(n, x))
-    if x % 2 == 0:
-        coefficient = Fraction(2 ** (x // 2), x**x)
-    else:
-        coefficient = Fraction(2 ** ((x - 1) // 2), x**x)
+    ratio = Fraction(plan.total_count, comb(n, x))
+    coefficient = Fraction(2 ** (x // 2), x**x)
     return EfficiencyReport(
         n=n,
         x=x,

@@ -184,6 +184,15 @@ class TestOptimizeScanEfficiency:
         assert code == 4 and report is None
         assert "vertex count 5000 exceeds cap 4096" in err
 
+    def test_optimize_many_components(self, capsys):
+        # 551 components: the former recursive search ended in RecursionError
+        code, report, err = run(capsys, "optimize", "--n", "2201", "--gamma", "1101")
+        assert code == 0 and err == ""
+        assert [(c["kind"], c["size"]) for c in report["plan"]] == [
+            ("complete", 1)
+        ] + [("pair", 4)] * 550
+        assert report["count"] == str(6**550)
+
     def test_scan_builtin(self, capsys):
         code, report, _ = run(capsys, "scan", "--n", "5", "--total")
         assert code == 0

@@ -20,7 +20,6 @@ from domcount import (
     max_total_dominating_pairs,
     pair_extremal_graph,
     parse_graph6,
-    predicted_count,
     write_graph6,
 )
 
@@ -164,15 +163,15 @@ class TestComponentPlan:
             ("complete", 3),
             ("pair", 6),
         ]
-        assert predicted_count(plan) == 45
+        assert plan.total_count == 45
 
     def test_eight_four(self):
         plan = component_plan(8, 4)
-        assert plan.sizes() == (4, 4) and predicted_count(plan) == 36
+        assert plan.sizes() == (4, 4) and plan.total_count == 36
 
     def test_twelve_three(self):
         plan = component_plan(12, 3)
-        assert plan.sizes() == (4, 8) and predicted_count(plan) == 112
+        assert plan.sizes() == (4, 8) and plan.total_count == 112
 
     def test_minimum_feasible_odd(self):
         # n = 2x-1 forces every leftover vertex onto the pair components
@@ -188,7 +187,7 @@ class TestComponentPlan:
             ("complete", 4),
             ("pair", 10),
         ]
-        assert predicted_count(plan) == 180
+        assert plan.total_count == 180
 
     def test_leftover_split_between_pairs(self):
         plan = component_plan(13, 5)
@@ -197,11 +196,11 @@ class TestComponentPlan:
             ("pair", 6),
             ("pair", 5),
         ]
-        assert predicted_count(plan) == 2 * 15 * 9
+        assert plan.total_count == 2 * 15 * 9
 
     def test_even_x_equal_split(self):
         plan = component_plan(10, 4)
-        assert plan.sizes() == (5, 5) and predicted_count(plan) == 81
+        assert plan.sizes() == (5, 5) and plan.total_count == 81
 
     @pytest.mark.parametrize("n,x", [(3, 2), (4, 3), (7, 4), (8, 5), (0, 1), (5, 0)])
     def test_infeasible(self, n, x):
@@ -211,12 +210,12 @@ class TestComponentPlan:
     def test_x_one_is_complete(self):
         graph, plan = build_component_graph(6, 1)
         assert plan.components[0].kind == "complete"
-        assert domination_number(graph) == 1 and predicted_count(plan) == 6
+        assert domination_number(graph) == 1 and plan.total_count == 6
 
     def test_x_two_is_pair_extremal(self):
         graph, plan = build_component_graph(7, 2)
         assert graph.rows == pair_extremal_graph(7).rows
-        assert predicted_count(plan) == 20
+        assert plan.total_count == 20
 
 
 class TestBuiltGraphs:
@@ -228,7 +227,7 @@ class TestBuiltGraphs:
             except InfeasibleOrderError:
                 continue
             assert domination_number(graph) == x
-            assert count_sets(graph, x, "dominating") == predicted_count(plan)
+            assert count_sets(graph, x, "dominating") == plan.total_count
 
     def test_plan_graph_round_trip(self):
         plan = component_plan(11, 5)
@@ -242,11 +241,11 @@ class TestPredictedCount:
         k3_b6 = PartitionPlan(
             9, 3, (Component("complete", 3), Component("pair", 6))
         )
-        assert predicted_count(k3_b6) == 45
+        assert k3_b6.total_count == 45
         b4_b6 = PartitionPlan(10, 4, (Component("pair", 4), Component("pair", 6)))
-        assert predicted_count(b4_b6) == 90
+        assert b4_b6.total_count == 90
         b5_b5 = PartitionPlan(10, 4, (Component("pair", 5), Component("pair", 5)))
-        assert predicted_count(b5_b5) == 81
+        assert b5_b5.total_count == 81
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -268,4 +267,4 @@ class TestPredictedCount:
         start = {2: 4, 3: 5, 4: 8, 5: 9}[x]
         for n in range(start, 121):
             plan = component_plan(n, x)
-            assert predicted_count(plan) >= coefficient * n**x / 4
+            assert plan.total_count >= coefficient * n**x / 4

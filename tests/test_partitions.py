@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from allocation_oracle import dp_allocation
 from domcount import (
     InfeasibleOrderError,
     SizeLimitError,
@@ -11,7 +12,6 @@ from domcount import (
     exhaustive_decomposition_oracle,
     max_dominating_pairs,
     optimize_allocation,
-    predicted_count,
     quad_split_comparison,
 )
 
@@ -70,7 +70,7 @@ class TestOptimizeAllocation:
         for n, x in feasible_pairs(60, 7):
             assert (
                 optimize_allocation(n, x).total_count
-                >= predicted_count(component_plan(n, x))
+                >= component_plan(n, x).total_count
             ), (n, x)
 
     def test_structure_matches_theory(self):
@@ -95,6 +95,44 @@ class TestOptimizeAllocation:
                 assert plan.total_count > equal_split, (n, x)
 
 
+def plan_shape(plan):
+    return [(c.kind, c.size) for c in plan.components]
+
+
+class TestClosedFormRule:
+    def test_matches_dp_oracle(self):
+        cases = list(feasible_pairs(160, 12))
+        for x in range(13, 61):
+            lowest = 2 * x - x % 2  # smallest feasible n
+            cases += [(n, x) for n in range(lowest, lowest + 21)]
+        for n, x in cases:
+            assert plan_shape(optimize_allocation(n, x)) == plan_shape(
+                dp_allocation(n, x)
+            ), (n, x)
+
+    def test_best_two_part_split_is_unique(self):
+        # step 2 of the exchange argument: two even sizes within 2 of each
+        # other, or two consecutive sizes for an odd total
+        for total in range(8, 1001):
+            products = {
+                a: max_dominating_pairs(a) * max_dominating_pairs(total - a)
+                for a in range(4, total // 2 + 1)
+            }
+            best = max(products.values())
+            (a,) = [a for a, product in products.items() if product == best]
+            b = total - a
+            if total % 2:
+                assert b - a == 1, total
+            else:
+                assert a % 2 == 0 and b - a <= 2, total
+
+    def test_large_order_three(self):
+        # the former search took about 14 s for this plan
+        plan = optimize_allocation(4096, 3)
+        assert plan_shape(plan) == [("complete", 1365), ("pair", 2731)]
+        assert plan.total_count == 5088466110
+
+
 class TestOracle:
     @pytest.mark.parametrize("n,x,expected", [(10, 4, 90), (8, 4, 36), (5, 2, 9)])
     def test_spot_values(self, n, x, expected):
@@ -115,7 +153,7 @@ class TestOracle:
         # valued at the best product a (r, 3) union construction achieves;
         # they never beat decompositions into 1s and 2s
         def value3(r):
-            return predicted_count(component_plan(r, 3))
+            return component_plan(r, 3).total_count
 
         def extended(n, x):
             best = None
