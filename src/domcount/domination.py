@@ -34,15 +34,17 @@ COUNT_VERTEX_CAP = 64
 DEFAULT_WITNESS_CAP = 1000
 
 
-def _require_mode(mode: str) -> None:
+def check_mode(mode: str) -> None:
+    """Refuse a mode other than 'dominating' or 'total'."""
     if mode not in ("dominating", "total"):
         raise ValueError(f"mode must be 'dominating' or 'total', got {mode!r}")
 
 
-def _require_countable(g: Graph) -> None:
-    if g.n > COUNT_VERTEX_CAP:
+def check_countable(n: int) -> None:
+    """Refuse an order past the counting cap, ``COUNT_VERTEX_CAP``."""
+    if n > COUNT_VERTEX_CAP:
         raise SizeLimitError(
-            f"counting supports n <= {COUNT_VERTEX_CAP}, got n={g.n}"
+            f"counting supports n <= {COUNT_VERTEX_CAP}, got n={n}"
         )
 
 
@@ -305,8 +307,8 @@ def _count_covers(
 ) -> tuple[int, list[int]]:
     """Count and first ``witness_cap`` masks behind :func:`count_sets` and
     :func:`count_sets_with_witnesses`."""
-    _require_mode(mode)
-    _require_countable(g)
+    check_mode(mode)
+    check_countable(g.n)
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
     if witness_cap < 0:
@@ -360,8 +362,8 @@ def count_minimum(
     Collects at most ``witness_cap`` witnesses in lexicographic order; pass 0
     to skip collection.
     """
-    _require_mode(mode)
-    _require_countable(g)
+    check_mode(mode)
+    check_countable(g.n)
     if witness_cap < 0:
         raise ValueError("witness_cap must be nonnegative")
     rows, components, gammas = _minimum_parts(g, mode)
@@ -377,8 +379,8 @@ def count_sets_naive(g: Graph, k: int, mode: Mode) -> int:
     Works from explicit neighbor lists and Python sets with no bit packing,
     no pruning, and no shared code with the fast path.
     """
-    _require_mode(mode)
-    _require_countable(g)
+    check_mode(mode)
+    check_countable(g.n)
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
     if k > g.n:

@@ -70,13 +70,9 @@ def _decode_size(data: bytes, base: int) -> tuple[int, int]:
     return n, 4
 
 
-def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
-    """Parse one graph6 record into a Graph.
-
-    Raises :class:`GraphParseError` (with a byte offset) on bytes outside
-    [63, 126], a truncated or over-long record, or nonzero padding bits in
-    strict mode; raises :class:`SizeLimitError` past the vertex cap.
-    """
+def _record_data(record: str | bytes) -> tuple[bytes, int]:
+    """A record's bytes without line ending, and the offset after the
+    optional header."""
     if isinstance(record, str):
         try:
             data = record.encode("ascii")
@@ -90,6 +86,32 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
         base = len(HEADER)
     if base == len(data):
         raise GraphParseError("empty graph6 record", position=base)
+    return data, base
+
+
+def graph6_order(record: str | bytes) -> int | None:
+    """The order a graph6 record's size field declares, read without its
+    adjacency bytes; None when :func:`parse_graph6` would reject the header
+    or the size field itself (non-ASCII, empty, truncated, a byte out of
+    range, past the vertex cap)."""
+    try:
+        data, base = _record_data(record)
+        n, consumed = _decode_size(data, base)
+    except GraphParseError:
+        return None
+    if data[base : base + consumed].translate(None, _GRAPH6_DIGITS):
+        return None
+    return n if n <= MAX_VERTICES else None
+
+
+def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
+    """Parse one graph6 record into a Graph.
+
+    Raises :class:`GraphParseError` (with a byte offset) on bytes outside
+    [63, 126], a truncated or over-long record, or nonzero padding bits in
+    strict mode; raises :class:`SizeLimitError` past the vertex cap.
+    """
+    data, base = _record_data(record)
     if data[base:].translate(None, _GRAPH6_DIGITS):  # a byte is out of range
         for offset in range(base, len(data)):
             if not 63 <= data[offset] <= 126:
@@ -178,40 +200,71 @@ def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[G
         yield parse_graph6(stripped, strict=strict)
 
 
+def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each line that is not blank or a
+    comment."""
+    for line_number, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_number, tokens
+
+
+def _vertex_count(line_number: int, tokens: list[str]) -> int:
+    """The vertex count of an edge list's first line."""
+    if len(tokens) != 1:
+        raise GraphParseError(
+            f"expected a single vertex count on line {line_number}",
+            position=line_number,
+        )
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise GraphParseError(
+            f"invalid vertex count {tokens[0]!r} on line {line_number}",
+            position=line_number,
+        ) from None
+    if n < 0:
+        raise GraphParseError(
+            f"negative vertex count on line {line_number}",
+            position=line_number,
+        )
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"edge list has n={n}, cap is {MAX_VERTICES}")
+    return n
+
+
+# Characters of an edge list searched for its vertex count line.
+_ORDER_PEEK = 1 << 16
+
+
+def edge_list_order(text: str) -> int | None:
+    """The vertex count an edge list declares, read without its edge lines;
+    None when :func:`parse_edge_list` would reject the count line, or when
+    that line does not end within the first ``_ORDER_PEEK`` characters."""
+    head = text[:_ORDER_PEEK]
+    lines = head.splitlines()
+    if len(head) < len(text):
+        lines = lines[:-1]  # may be cut short
+    for line_number, tokens in _token_lines(lines):
+        try:
+            return _vertex_count(line_number, tokens)
+        except (GraphParseError, SizeLimitError):
+            return None
+    return None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text: a vertex count line, then ``u v`` lines.
 
     ``#`` starts a comment; blank lines are skipped; duplicate edges are
     ignored.  Errors carry 1-based line numbers.
     """
-    builder: GraphBuilder | None = None
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if builder is None:
-            if len(tokens) != 1:
-                raise GraphParseError(
-                    f"expected a single vertex count on line {line_number}",
-                    position=line_number,
-                )
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise GraphParseError(
-                    f"invalid vertex count {tokens[0]!r} on line {line_number}",
-                    position=line_number,
-                ) from None
-            if n < 0:
-                raise GraphParseError(
-                    f"negative vertex count on line {line_number}",
-                    position=line_number,
-                )
-            if n > MAX_VERTICES:
-                raise SizeLimitError(f"edge list has n={n}, cap is {MAX_VERTICES}")
-            builder = GraphBuilder(n)
-            continue
+    lines = _token_lines(text.splitlines())
+    first = next(lines, None)
+    if first is None:
+        raise GraphParseError("missing vertex count line")
+    builder = GraphBuilder(_vertex_count(*first))
+    for line_number, tokens in lines:
         if len(tokens) != 2:
             raise GraphParseError(
                 f"expected 'u v' on line {line_number}", position=line_number
@@ -233,8 +286,6 @@ def parse_edge_list(text: str) -> Graph:
                 position=line_number,
             )
         builder.add_edge(u, v)
-    if builder is None:
-        raise GraphParseError("missing vertex count line")
     return builder.build()
 
 

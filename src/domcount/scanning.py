@@ -2,28 +2,30 @@
 
 ``scan_labeled`` checks every labeled simple graph of a given order (feasible
 through n = 7, i.e. 2^21 graphs) for the maximum number of (total) dominating
-2-sets among graphs whose (total) domination number is exactly 2.  The hot
-path is vectorized with numpy over blocks of edge masks.  ``extremal_scan``
-applies the same reduction to an arbitrary stream of graphs (for example a
-graph6 corpus) using the per-graph counting engine; both paths produce
-identical records on identical inputs.
+2-sets among graphs whose domination number is exactly 2.  ``extremal_scan``
+answers the same question over any stream of graphs of one order, and
+``scan_corpus`` over the lines of a graph6 corpus.  All three run one numpy
+block kernel (:mod:`domcount.pairscan`, imported only when a γ=2 scan runs)
+and produce identical records on identical inputs.  ``extremal_scan`` with
+another target counts each graph with the counting engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain
 from math import comb, factorial
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .constructions import component_plan
-from .domination import Mode, count_sets, domination_number
-from .errors import MixedOrderError, SizeLimitError
-from .graph6 import write_graph6
+from .domination import Mode, check_mode, count_sets, domination_number
+from .errors import GraphParseError, MixedOrderError, SizeLimitError
+from .graph6 import graph6_order, parse_graph6, write_graph6
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .pairscan import PairMaximum
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -78,6 +80,18 @@ class ExtremalRecord:
     graphs_scanned: int
 
 
+def _record(best: PairMaximum) -> ExtremalRecord:
+    best.flush()
+    return ExtremalRecord(
+        n=best.n,
+        mode=best.mode,
+        target_gamma=2,
+        max_count=best.count,
+        witness=best.witness,
+        graphs_scanned=best.scanned,
+    )
+
+
 def extremal_scan(
     graphs: Iterable[Graph], mode: Mode, target_gamma: int = 2
 ) -> ExtremalRecord:
@@ -91,7 +105,22 @@ def extremal_scan(
     graphs with no total dominating set of the target size (in particular
     graphs with an isolated vertex) count toward ``graphs_scanned`` but
     cannot produce the maximum.
+
+    Target 2 runs the numpy pair kernel on blocks of graphs; other targets
+    count each graph with :func:`count_sets`.
     """
+    if target_gamma == 2:
+        check_mode(mode)
+        from .pairscan import PairMaximum
+
+        best: PairMaximum | None = None
+        for g in graphs:
+            if best is None:
+                best = PairMaximum(g.n, mode)
+            best.add_graph(g)
+        if best is None:
+            raise ValueError("graph stream is empty")
+        return _record(best)
     n: int | None = None
     scanned = 0
     best_count = 0
@@ -106,14 +135,10 @@ def extremal_scan(
         scanned += 1
         if mode == "total" and g.has_isolated_vertex():
             continue
-        if target_gamma == 2:
-            full = (1 << g.n) - 1
-            if any(row | 1 << v == full for v, row in enumerate(g.rows)):
-                continue  # a dominating vertex: domination number 1
         count = count_sets(g, target_gamma, mode)
         if count == 0:
             continue  # domination number above target, or no total set
-        if target_gamma != 2 and domination_number(g) < target_gamma:
+        if domination_number(g) < target_gamma:
             continue  # domination number below target
         if count > best_count:
             best_count = count
@@ -134,17 +159,36 @@ def extremal_scan(
     )
 
 
-def _coverage_rows(masks: np.ndarray, n: int, mode: str) -> list[np.ndarray]:
-    """Per-vertex coverage masks for a block of edge masks (uint8, n <= 7)."""
-    rows = [np.zeros(masks.shape, dtype=np.uint8) for _ in range(n)]
-    for k, (i, j) in enumerate(pair_order(n)):
-        bit = ((masks >> np.uint32(k)) & np.uint32(1)).astype(np.uint8)
-        rows[i] |= bit << np.uint8(j)
-        rows[j] |= bit << np.uint8(i)
-    if mode == "dominating":
-        for v in range(n):
-            rows[v] |= np.uint8(1 << v)
-    return rows
+def scan_corpus(
+    lines: Iterable[str], mode: Mode, strict: bool = True
+) -> ExtremalRecord:
+    """:func:`extremal_scan` (target 2) over a graph6 corpus, one record
+    per line, blank lines skipped: the same record, errors and warnings as
+    ``extremal_scan(iter_graph6(lines, strict), mode)``.
+
+    Lines are read in bounded blocks.  Canonical records of the first
+    record's order are decoded in numpy and are their own witnesses; any
+    other line goes through :func:`parse_graph6`, in file order.  Raises
+    :class:`GraphParseError` when the corpus holds no record.
+    """
+    check_mode(mode)
+    from .pairscan import PairMaximum, line_blocks
+
+    lines = iter(lines)
+    head = []
+    for line in lines:
+        head.append(line)
+        if line.strip():
+            break
+    else:
+        raise GraphParseError("no graph6 record found in corpus")
+    n = graph6_order(line.strip())
+    if n is None:  # parse_graph6 rejects the record's size field
+        n = parse_graph6(line.strip(), strict=strict).n
+    best = PairMaximum(n, mode)
+    for block in line_blocks(chain(head, lines)):
+        best.add_lines(block, strict)
+    return _record(best)
 
 
 def scan_labeled(
@@ -154,8 +198,7 @@ def scan_labeled(
     vertices (target domination number 2), with the same filter: only
     graphs with ordinary domination number exactly 2 compete.  Results are
     identical for any ``chunk_size``."""
-    if mode not in ("dominating", "total"):
-        raise ValueError(f"mode must be 'dominating' or 'total', got {mode!r}")
+    check_mode(mode)
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"labeled enumeration supports n <= {ENUMERATION_MAX_N}; "
@@ -165,45 +208,16 @@ def scan_labeled(
         raise ValueError("vertex count must be nonnegative")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    total = 1 << comb(n, 2)
-    full = np.uint8((1 << n) - 1)
-    vertex_pairs = list(combinations(range(n), 2))
-    best_count = 0
-    best_witness: str | None = None
-    for start in range(0, total, chunk_size):
-        masks = np.arange(start, min(start + chunk_size, total), dtype=np.uint32)
-        rows = _coverage_rows(masks, n, mode)
-        counts = np.zeros(masks.shape, dtype=np.uint8)
-        for u, v in vertex_pairs:
-            counts += (rows[u] | rows[v]) == full
-        # a qualifying pair forces domination number <= 2 in either mode;
-        # excluding graphs with a dominating vertex pins it to exactly 2
-        eligible = counts > 0
-        for v in range(n):
-            closed = rows[v] | np.uint8(1 << v)
-            eligible &= closed != full
-        if not eligible.any():
-            continue
-        chunk_max = int(counts[eligible].max())
-        if chunk_max < best_count:
-            continue
-        candidates = masks[eligible & (counts == chunk_max)]
-        chunk_witness = min(
-            write_graph6(graph_from_edge_mask(n, int(mask))) for mask in candidates
+    from .pairscan import PairMaximum, edge_mask_blocks
+
+    best = PairMaximum(n, mode)
+    for masks, rows in edge_mask_blocks(n, chunk_size):
+        best.scanned += len(masks)
+        best.add_rows(
+            rows, lambda i: write_graph6(graph_from_edge_mask(n, int(masks[i])))
         )
-        if chunk_max > best_count:
-            best_count = chunk_max
-            best_witness = chunk_witness
-        elif best_witness is None or chunk_witness < best_witness:
-            best_witness = chunk_witness
-    return ExtremalRecord(
-        n=n,
-        mode=mode,
-        target_gamma=2,
-        max_count=best_count,
-        witness=best_witness,
-        graphs_scanned=total,
-    )
+        del masks, rows  # freed before the next block is built
+    return _record(best)
 
 
 def labeled_max_edges_gamma2(
@@ -217,18 +231,16 @@ def labeled_max_edges_gamma2(
         )
     if n < 2:
         raise ValueError("domination number >= 2 needs n >= 2")
-    total = 1 << comb(n, 2)
-    full = np.uint8((1 << n) - 1)
+    import numpy as np
+
+    from .pairscan import edge_mask_blocks, no_dominating_vertex
+
     best = -1
-    for start in range(0, total, chunk_size):
-        masks = np.arange(start, min(start + chunk_size, total), dtype=np.uint32)
-        rows = _coverage_rows(masks, n, "dominating")
-        eligible = np.ones(masks.shape, dtype=bool)
-        for v in range(n):
-            eligible &= rows[v] != full
-        if not eligible.any():
-            continue
-        best = max(best, int(np.bitwise_count(masks[eligible]).max()))
+    for masks, rows in edge_mask_blocks(n, chunk_size):
+        eligible = no_dominating_vertex(rows)
+        if eligible.any():
+            best = max(best, int(np.bitwise_count(masks[eligible]).max()))
+        del masks, rows  # freed before the next block is built
     if best < 0:
         raise ValueError(f"no graph on {n} vertices has domination number >= 2")
     return best

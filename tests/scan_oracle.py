@@ -1,0 +1,81 @@
+"""Test oracle: the per-graph extremal reduction that ``extremal_scan`` ran
+for every target before the γ=2 scans moved to one numpy block kernel.
+
+Each graph goes through ``count_sets`` on its own, so this is independent
+of the kernel's pair counting, its row dtypes and its block boundaries.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from typing import Iterable
+
+from domcount import (
+    ExtremalRecord,
+    Graph,
+    GraphParseError,
+    MixedOrderError,
+    count_sets,
+    domination_number,
+    iter_graph6,
+    write_graph6,
+)
+
+
+def oracle_extremal_scan(
+    graphs: Iterable[Graph], mode: str, target_gamma: int = 2
+) -> ExtremalRecord:
+    """Maximum (total) dominating ``target_gamma``-set count over graphs
+    with domination number exactly ``target_gamma``, one graph at a time."""
+    n: int | None = None
+    scanned = 0
+    best_count = 0
+    best_witness: str | None = None
+    for g in graphs:
+        if n is None:
+            n = g.n
+        elif g.n != n:
+            raise MixedOrderError(
+                f"graph stream mixes orders {n} and {g.n}"
+            )
+        scanned += 1
+        if mode == "total" and g.has_isolated_vertex():
+            continue
+        if target_gamma == 2:
+            full = (1 << g.n) - 1
+            if any(row | 1 << v == full for v, row in enumerate(g.rows)):
+                continue  # a dominating vertex: domination number 1
+        count = count_sets(g, target_gamma, mode)
+        if count == 0:
+            continue  # domination number above target, or no total set
+        if target_gamma != 2 and domination_number(g) < target_gamma:
+            continue  # domination number below target
+        if count > best_count:
+            best_count = count
+            best_witness = write_graph6(g)
+        elif count == best_count:
+            record = write_graph6(g)
+            if best_witness is None or record < best_witness:
+                best_witness = record
+    if n is None:
+        raise ValueError("graph stream is empty")
+    return ExtremalRecord(
+        n=n,
+        mode=mode,
+        target_gamma=target_gamma,
+        max_count=best_count,
+        witness=best_witness,
+        graphs_scanned=scanned,
+    )
+
+
+def oracle_scan_corpus(
+    lines: Iterable[str], mode: str, strict: bool = True
+) -> ExtremalRecord:
+    """The corpus scan as the CLI ran it before: every line through
+    ``iter_graph6``, every graph through :func:`oracle_extremal_scan`."""
+    graphs = iter_graph6(lines, strict=strict)
+    first = next(graphs, None)
+    if first is None:
+        raise GraphParseError("no graph6 record found in corpus")
+    return oracle_extremal_scan(chain([first], graphs), mode)

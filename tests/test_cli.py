@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +122,28 @@ class TestGammaAndCount:
         path = g6_file(new_graph(65))
         code, _, err = run(capsys, "count", "--in", path)
         assert code == 4 and "size limit" in err
+
+    def test_count_checks_the_cap_before_the_body(self, capsys, tmp_path):
+        from domcount import new_graph
+
+        edges = tmp_path / "big.edges"
+        edges.write_text("# order\n100\n0 1\nnot an edge\n")
+        g6 = tmp_path / "big.g6"
+        g6.write_text("\n" + write_graph6(new_graph(100))[:-1] + "!\n")
+        for path, fmt in ((edges, "edges"), (g6, "g6")):
+            code, report, err = run(capsys, "count", "--in", str(path), "--format", fmt)
+            assert code == 4 and report is None
+            assert err == "domcount: size limit: counting supports n <= 64, got n=100\n"
+            # gamma has no counting cap and still reports the malformed body
+            code, _, err = run(capsys, "gamma", "--in", str(path), "--format", fmt)
+            assert code == 2 and "parse error" in err
+
+    def test_count_past_the_vertex_cap_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("5000\n0 1\n")
+        code, _, err = run(capsys, "count", "--in", str(path), "--format", "edges")
+        assert code == 4
+        assert err == "domcount: size limit: edge list has n=5000, cap is 4096\n"
 
     def test_non_ascii_input_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "utf8.g6"
@@ -277,3 +302,34 @@ class TestCliContract:
         assert code == 0
         assert isinstance(report["count"], str)
         assert int(report["count"]) == (15000 * 14999 // 2) ** 2
+
+
+def test_numpy_loads_only_for_scan():
+    """Only ``scan`` imports numpy; every other subcommand runs without it."""
+    import domcount
+
+    script = f"""
+import io
+import sys
+sys.path.insert(0, {str(Path(domcount.__file__).parents[1])!r})
+import domcount
+from domcount.cli import run_cli
+assert "numpy" not in sys.modules
+for argv in (
+    ["formula", "--n", "9", "--gamma", "3"],
+    ["optimize", "--n", "12", "--gamma", "4"],
+    ["efficiency", "--n", "12", "--gamma", "3"],
+    ["construct", "--n", "9", "--gamma", "3"],
+    ["gamma", "--in", "-"],
+    ["count", "--in", "-"],
+):
+    sys.stdin = io.StringIO("C~\\n")
+    assert run_cli(argv) == 0, argv
+assert "numpy" not in sys.modules
+assert run_cli(["scan", "--n", "3"]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

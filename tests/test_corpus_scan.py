@@ -1,0 +1,200 @@
+"""``scan --corpus`` against the per-graph oracle.
+
+The CLI is run twice on each corpus: as shipped, and with its corpus scan
+replaced by ``oracle_scan_corpus`` (``iter_graph6`` plus the per-graph
+reduction).  The JSON report (``elapsed_ms`` aside), stderr, warnings and
+exit code must be the same.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+import warnings
+from math import comb
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from domcount import complete_graph, from_edges, new_graph, write_graph6
+from domcount.cli import run_cli
+from domcount.pairscan import SCAN_BLOCK
+from scan_oracle import oracle_scan_corpus
+
+MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
+
+
+def cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    report = json.loads(out.getvalue()) if out.getvalue() else None
+    if report is not None:
+        del report["elapsed_ms"]
+    return code, report, err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_matches_oracle(path, extra=()):
+    for mode in MODES:
+        argv = ["scan", "--corpus", str(path), *mode, *extra]
+        shipped = cli_outcome(argv)
+        with mock.patch("domcount.cli.scan_corpus", oracle_scan_corpus):
+            assert shipped == cli_outcome(argv), argv
+
+
+def random_record(rng, n, density=None):
+    density = rng.choice([0.5, 0.7, 0.85, 1.0]) if density is None else density
+    edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+    return write_graph6(from_edges(n, edges)).encode()
+
+
+def mutate(record, kind, n, rng):
+    """One malformed or non-canonical variant of a canonical record."""
+    if kind == "header":
+        return b">>graph6<<" + record
+    if kind == "padding":
+        if comb(n, 2) % 6 == 0:
+            return record + b"?"
+        return record[:-1] + bytes([(record[-1] - 63 | 1) + 63])
+    if kind == "out_of_range":
+        at = rng.randrange(len(record))
+        return record[:at] + bytes([rng.choice([32, 33, 62, 127])]) + record[at + 1 :]
+    if kind == "truncated":
+        return record[:-1]
+    if kind == "over_long":
+        return record + b"?"
+    if kind == "other_order":
+        return random_record(rng, n + 1)
+    if kind == "whitespace":
+        return b" " + record + b"\t"
+    if kind == "long_size_field":
+        if n > 62:
+            return record
+        return b"~??" + bytes([63 + n]) + record[1:]
+    if kind == "lone_cr":
+        return record + b"\r" + record
+    if kind == "non_ascii":
+        return record + b"\xc3\xa9"
+    raise AssertionError(kind)
+
+
+KINDS = ["header", "padding", "out_of_range", "truncated", "over_long",
+         "other_order", "whitespace", "long_size_field", "lone_cr", "non_ascii",
+         "blank"]
+
+
+@st.composite
+def corpora(draw):
+    """Bytes of a graph6 corpus: mostly canonical records of one order
+    (0-12, sometimes 13-64), with a few of the lines broken or framed
+    differently, blank lines, and LF or CRLF line ends."""
+    n = draw(st.integers(0, 12) | st.sampled_from([13, 20, 33, 62, 63, 64]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = draw(st.integers(1, 40 if n <= 12 else 4))
+    lines = [random_record(rng, n) for _ in range(count)]
+    for kind in draw(st.lists(st.sampled_from(KINDS), max_size=3)):
+        at = rng.randrange(len(lines))
+        if kind == "blank":
+            lines.insert(at, rng.choice([b"", b"  "]))
+        else:
+            lines[at] = mutate(lines[at], kind, n, rng)
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, b""]))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=corpora())
+    def test_random_corpora(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.g6"
+            path.write_bytes(corpus)
+            assert_matches_oracle(path)
+
+    @pytest.mark.parametrize(
+        "at", [0, SCAN_BLOCK - 2, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5]
+    )
+    @pytest.mark.parametrize("kind", ["out_of_range", "padding", "other_order",
+                                      "header"])
+    def test_block_boundaries(self, tmp_path, at, kind):
+        rng = random.Random(at)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(2 * SCAN_BLOCK + 100)]
+        lines[at] = mutate(lines[at], kind, 8, rng)
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_matches_oracle(path)
+
+    @pytest.mark.parametrize(
+        "n, gap", [(8, 0), (8, 100), (8, 2000), (20, 50), (20, 400)]
+    )
+    def test_non_ascii_after_a_malformed_line(self, tmp_path, n, gap):
+        # The text decoder reads 8 KiB at a time: with a short gap the
+        # undecodable byte is met before the malformed line is parsed, with
+        # a long one after, even when both lines fall in one block of lines.
+        rng = random.Random(gap)
+        lines = [random_record(rng, n) for _ in range(10)]
+        lines.append(mutate(lines[0], "out_of_range", n, rng))
+        lines += [random_record(rng, n) for _ in range(gap)]
+        lines.append(b"caf\xc3\xa9")
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_matches_oracle(path)
+        _, _, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        assert ("ascii" in err) == (gap * len(lines[0]) < 8192)
+
+    def test_many_records_same_witness(self, tmp_path):
+        rng = random.Random(211)
+        lines = [random_record(rng, 9, 5 / 8) for _ in range(3 * SCAN_BLOCK)]
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert_matches_oracle(path)
+
+
+class TestOrderChecks:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [new_graph(65)],
+            [complete_graph(65), new_graph(65)],
+            [complete_graph(65), from_edges(65, [(0, 1)]), new_graph(4)],
+        ],
+        ids=["edgeless", "complete-then-edgeless", "then-order-4"],
+    )
+    def test_order_65_exits_4(self, tmp_path, records):
+        path = tmp_path / "corpus.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in records))
+        code, report, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        assert code == 4 and report is None
+        assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
+        assert_matches_oracle(path)
+
+    def test_order_65_without_a_candidate(self, tmp_path):
+        # every graph has a dominating vertex: nothing is counted
+        path = tmp_path / "corpus.g6"
+        path.write_text((write_graph6(complete_graph(65)) + "\n") * 2)
+        code, report, _, _ = cli_outcome(["scan", "--corpus", str(path)])
+        assert code == 0 and report["count"] == 0 and report["graphs_scanned"] == 2
+        assert_matches_oracle(path)
+
+    def test_requested_order_is_checked_first(self, tmp_path):
+        path = tmp_path / "corpus.g6"
+        path.write_text("\n" + write_graph6(complete_graph(8)) + "\nG?!???\n")
+        code, report, err, _ = cli_outcome(
+            ["scan", "--corpus", str(path), "--n", "5"]
+        )
+        assert code == 2 and report is None
+        assert err == "domcount: parse error: corpus has order 8, --n 5 was requested\n"
+
+    def test_requested_order_matches(self, tmp_path):
+        path = tmp_path / "corpus.g6"
+        path.write_text("\n\n" + write_graph6(complete_graph(8)) + "\nG?!???\n")
+        assert_matches_oracle(path, ["--n", "8"])
+        code, _, err, _ = cli_outcome(["scan", "--corpus", str(path), "--n", "8"])
+        assert code == 2 and "out of graph6 range" in err

@@ -20,7 +20,7 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import PER_PAIR_MAX_N
+from domcount.graph6 import PER_PAIR_MAX_N, edge_list_order, graph6_order
 from domcount.scanning import graph_from_edge_mask
 
 
@@ -189,6 +189,81 @@ class TestOracleEquivalence:
             record = write_graph6(graph)
             assert record == oracle.write_graph6(graph)
             assert parse_graph6(record).rows == graph.rows
+
+
+class TestDeclaredOrder:
+    """``graph6_order`` and ``edge_list_order`` read the order a parser
+    would find without reading the body; None only when the parser rejects
+    the header itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=graphs_by_density(max_n=70),
+        cut=st.integers(0, 2**16),
+        byte=st.sampled_from([0, 10, 32, 62, 127, 200, 255]),
+    )
+    def test_graph6_size_field(self, graph, cut, byte):
+        data = write_graph6(graph).encode()
+        variants = malformed_variants(data, cut % len(data), byte)
+        variants.update(valid=data, framed=b">>graph6<<" + data + b"\r\n")
+        for name, variant in variants.items():
+            order = graph6_order(variant)
+            try:
+                parsed = parse_graph6(variant)
+            except (GraphParseError, SizeLimitError):
+                assert order in (None, graph.n), name
+            else:
+                assert order == parsed.n == graph.n, name
+            if name == "out_of_range" and cut % len(data) == 0:
+                assert order is None  # the size field itself is bad
+
+    @pytest.mark.parametrize(
+        "record", ["", ">>graph6<<", "~", "~??", "~~?????", "caf\u00e9", "\x1f"]
+    )
+    def test_graph6_malformed_size_field(self, record):
+        assert graph6_order(record) is None
+        with pytest.raises(GraphParseError):
+            parse_graph6(record)
+
+    def test_graph6_past_vertex_cap(self):
+        record = "~@MG"  # n = 1 * 4096 + 14 * 64 + 8 = 5000
+        assert graph6_order(record) is None
+        with pytest.raises(SizeLimitError):
+            parse_graph6(record)
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("4\n0 1\n", 4),
+            ("# c\n\n  100 # n\n0 1\nbad\n", 100),
+            ("7", 7),
+            ("x\r\n# 3\r\n3\n", None),
+            ("3 4\n", None),
+            ("-1\n", None),
+            ("5000\n", None),
+            ("# only a comment\n", None),
+            ("", None),
+        ],
+    )
+    def test_edge_list_count_line(self, text, order):
+        assert edge_list_order(text) == order
+        try:
+            parsed = parse_edge_list(text)
+        except (GraphParseError, SizeLimitError):
+            assert order is None or text.startswith("#")
+        else:
+            assert parsed.n == order
+
+    def test_edge_list_count_line_past_the_peek(self):
+        text = "#" * 70_000 + "\n9\n"
+        assert parse_edge_list(text).n == 9
+        assert edge_list_order(text) is None
+        # the peek ends inside the count line "70": its "7" is not read as n
+        text = "#" * ((1 << 16) - 2) + "\n70\n0 1\n"
+        assert parse_edge_list(text).n == 70
+        assert edge_list_order(text) is None
+        text = "9\n" + "0 1\n" * 20_000
+        assert edge_list_order(text) == 9
 
 
 class TestNetworkxCrossCheck:

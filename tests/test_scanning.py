@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from scan_oracle import oracle_extremal_scan
 
 from domcount import (
     MixedOrderError,
@@ -10,6 +14,7 @@ from domcount import (
     count_sets,
     domination_number,
     efficiency_ratio,
+    from_edges,
     enumerate_labeled_graphs,
     extremal_scan,
     graph_from_edge_mask,
@@ -110,6 +115,71 @@ class TestExtremalScan:
         record = extremal_scan(graphs, "dominating")
         assert record.max_count == max_dominating_pairs(8) == 28
         assert record.graphs_scanned == 4
+
+
+def scan_outcome(scan, graphs, mode):
+    """The record a scan returns, or the type and message of its error."""
+    try:
+        return scan(graphs, mode)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def same_order_graphs(draw, max_n: int = 64):
+    """1-12 random graphs of one order n <= max_n, mostly dense enough for
+    domination number 2, with complete and edgeless graphs mixed in."""
+    n = draw(st.integers(0, max_n))
+    graphs = []
+    for _ in range(draw(st.integers(1, 12))):
+        density = draw(st.sampled_from([0.0, 0.5, 0.7, 0.85, 0.95, 1.0]))
+        seed = draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+        graphs.append(from_edges(n, edges))
+    return graphs
+
+
+class TestPairKernelAgainstOracle:
+    """The numpy pair kernel, through every γ=2 entry point, against the
+    per-graph reduction in ``tests/scan_oracle.py``."""
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_labeled_graph(self, n, mode):
+        expected = oracle_extremal_scan(enumerate_labeled_graphs(n), mode)
+        assert extremal_scan(enumerate_labeled_graphs(n), mode) == expected
+        assert scan_labeled(n, mode) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs=same_order_graphs())
+    def test_streams_up_to_order_64(self, graphs):
+        for mode in ("dominating", "total"):
+            assert extremal_scan(graphs, mode) == oracle_extremal_scan(graphs, mode)
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [complete_graph(65)],
+            [complete_graph(65), new_graph(65)],
+            [new_graph(65), new_graph(3)],
+            [complete_graph(65), new_graph(3)],
+            [complete_graph(70), from_edges(70, [(0, 1)]), complete_graph(70)],
+        ],
+        ids=["complete", "then-edgeless", "edgeless-then-order-3",
+             "complete-then-order-3", "one-edge"],
+    )
+    def test_past_the_counting_cap(self, graphs, mode):
+        # a graph that could compete is refused where counting refused it;
+        # graphs that cannot are counted as scanned
+        assert scan_outcome(extremal_scan, graphs, mode) == scan_outcome(
+            oracle_extremal_scan, graphs, mode
+        )
+
+    def test_invalid_mode(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            extremal_scan([complete_graph(3)], "connected")
 
 
 class TestMaxEdges:
