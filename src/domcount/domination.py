@@ -2,11 +2,17 @@
 
 Every number here comes from one walk, run on each connected component of
 the graph in place: lexicographic k-combinations of the component's
-vertices over bit masks, abandoning a prefix as soon as even the union of
-every remaining neighborhood cannot cover the component.  The last open
-slot is not enumerated: since adjacency is symmetric, the vertices that
-cover ``u`` are exactly ``rows[u]``, so the completions of a prefix are the
-later vertices in the intersection of ``rows[u]`` over its uncovered ``u``.
+vertices over bit masks.  Since adjacency is symmetric, the vertices that
+cover ``u`` are exactly ``rows[u]``.  A prefix is abandoned as soon as even
+the union of every remaining neighborhood cannot cover the component, or
+as soon as a packing bound (Meir & Moon's 2-packing bound, rho <= gamma)
+shows its open slots are too few: uncovered vertices whose coverers among
+the remaining vertices are pairwise disjoint each need a slot of their
+own.  Both cuts drop only prefixes that no cover extends, so the count,
+the lexicographic order of the witnesses and the first cover found are
+those of the plain walk.  The last open slot is not enumerated: the
+completions of a prefix are the later vertices in the intersection of
+``rows[u]`` over its uncovered ``u``.
 
 Minimum (total) dominating sets multiply across components (the domination
 polynomial is multiplicative over disjoint unions), so the domination
@@ -113,6 +119,17 @@ def _walk(
     Also returns the first ``witness_cap`` such subsets, as vertex masks in
     lexicographic order.  With ``first`` the walk stops at the first cover,
     so the count is nonzero exactly when one exists.
+
+    A node is cut only when no choice of its open slots covers the
+    component, so the walk meets the covers in the order of the uncut walk
+    and skips only subtrees that hold none: the count, the witnesses and
+    the cover at which ``first`` stops do not change.  Two cuts apply.  The
+    union of the remaining rows must cover what is still uncovered.  And
+    an uncovered vertex is kept when its coverers among the remaining
+    vertices are disjoint from those of every vertex kept before it; each
+    kept vertex needs a chosen vertex of its own, so more kept vertices
+    than open slots leave no cover.  Vertices with the fewest coverers are
+    tried first, so that many are kept.
     """
     total = 0
     witnesses: list[int] = []
@@ -156,6 +173,12 @@ def _walk(
     suffix = own + [0]  # suffix[i]: union of own[i:]
     for i in range(c - 2, -1, -1):
         suffix[i] |= suffix[i + 1]
+    # The packing bound never cuts a component of at most four vertices
+    # (checked over every connected graph of up to four vertices, both
+    # modes, every k), so those skip its sort and its loop.
+    by_coverers = (
+        sorted(zip(bits, own), key=lambda pair: pair[1].bit_count()) if c > 4 else []
+    )
 
     def rec(i: int, slots: int, acc: int, chosen: int) -> bool:
         """Choose the remaining ``slots`` >= 2 vertices from bits[i:]."""
@@ -168,6 +191,16 @@ def _walk(
                     if len(witnesses) == witness_cap:
                         break
             return first
+        avail = component & -bits[i]  # the vertices bits[i:]
+        used = need = 0
+        for u, row in by_coverers:
+            if not acc & u:
+                row &= avail
+                if not row & used:
+                    used |= row
+                    need += 1
+                    if need > slots:
+                        return False
         for j in range(i, c - slots + 1):
             # suffix[j] shrinks with j, so the first failure ends the loop
             if acc | suffix[j] != component:
@@ -183,23 +216,36 @@ def _walk(
     return total, witnesses
 
 
-def _component_gammas(
-    rows: list[int], components: list[int], k: int
-) -> list[int] | None:
+Minimum = tuple[int, tuple[int, list[int]]]
+
+
+def _component_minima(
+    rows: list[int], components: list[int], k: int, witness_cap: int | None = None,
+) -> list[Minimum] | None:
     """Smallest cover size of each component, by iterative deepening, or
     None as soon as they cannot sum to at most k.  Every component takes
-    at least one vertex, which bounds each deepening."""
+    at least one vertex, which bounds each deepening.
+
+    Each size comes with the walk's result at that size.  With
+    ``witness_cap`` None the walks stop at the first cover, and only the
+    size counts.  Otherwise the deepening's last step is the full walk, so
+    the result is the count and the first ``witness_cap`` covers at the
+    minimum; below the minimum no cover exists, and there the full walk
+    does exactly the work of the first-cover walk.
+    """
+    first = witness_cap is None
     spare = k - len(components)
-    gammas = []
+    minima = []
     for component in components:
         for size in range(1, min(spare + 1, component.bit_count()) + 1):
-            if _walk(rows, component, size, first=True)[0]:
+            found = _walk(rows, component, size, witness_cap or 0, first)
+            if found[0]:
                 break
         else:
             return None
         spare -= size - 1
-        gammas.append(size)
-    return gammas
+        minima.append((size, found))
+    return minima
 
 
 def _lex_key(mask: int) -> tuple[int, ...]:
@@ -261,25 +307,31 @@ def _fold(left: Table, right: Table, top: int, cap: int) -> Table:
 
 
 def _count_union(
-    rows: list[int], components: list[int], gammas: list[int], k: int,
+    rows: list[int], components: list[int], minima: list[Minimum], k: int,
     witness_cap: int,
 ) -> tuple[int, list[int]]:
     """Count of k-covers of the union of ``components`` and the first
-    ``witness_cap`` of them.  Component C takes sizes from its own minimum
-    up to k minus the other components' minimums."""
-    slack = k - sum(gammas)
+    ``witness_cap`` of them, given each component's minimum from
+    :func:`_component_minima` with the same ``witness_cap``.  Component C
+    takes sizes from its own minimum up to k minus the other components'
+    minimums."""
+    slack = k - sum(gamma for gamma, _ in minima)
     table: Table = {0: (1, [0][:witness_cap])}
     floor = 0
-    for component, gamma in zip(components, gammas):
+    for component, (gamma, at_gamma) in zip(components, minima):
         floor += gamma
-        sizes = range(gamma, min(gamma + slack, component.bit_count()) + 1)
-        part = {j: _walk(rows, component, j, witness_cap) for j in sizes}
+        sizes = range(gamma + 1, min(gamma + slack, component.bit_count()) + 1)
+        part = {gamma: at_gamma}
+        part.update((j, _walk(rows, component, j, witness_cap)) for j in sizes)
         table = _fold(table, part, floor + slack, witness_cap)
     return table.get(k, (0, []))
 
 
-def _minimum_parts(g: Graph, mode: str) -> tuple[list[int], list[int], list[int]]:
-    """Coverage rows, components and per-component minimum cover sizes."""
+def _minimum_parts(
+    g: Graph, mode: str, witness_cap: int | None = None,
+) -> tuple[list[int], list[int], list[Minimum]]:
+    """Coverage rows, components and per-component minima (see
+    :func:`_component_minima`)."""
     if g.n < 1:
         prefix = "total " if mode == "total" else ""
         raise ValueError(f"{prefix}domination number is undefined for the empty graph")
@@ -289,17 +341,17 @@ def _minimum_parts(g: Graph, mode: str) -> tuple[list[int], list[int], list[int]
         )
     rows = _cover_rows(g, mode)
     components = _components(g)
-    return rows, components, _component_gammas(rows, components, g.n)
+    return rows, components, _component_minima(rows, components, g.n, witness_cap)
 
 
 def domination_number(g: Graph) -> int:
     """Smallest size of a dominating set: the sum over components."""
-    return sum(_minimum_parts(g, "dominating")[2])
+    return sum(gamma for gamma, _ in _minimum_parts(g, "dominating")[2])
 
 
 def total_domination_number(g: Graph) -> int:
     """Smallest size of a total dominating set; requires no isolated vertex."""
-    return sum(_minimum_parts(g, "total")[2])
+    return sum(gamma for gamma, _ in _minimum_parts(g, "total")[2])
 
 
 def _count_covers(
@@ -320,10 +372,10 @@ def _count_covers(
     components = [(1 << g.n) - 1] if k == 1 else _components(g)
     if len(components) == 1:
         return _walk(rows, components[0], k, witness_cap)
-    gammas = _component_gammas(rows, components, k)
-    if gammas is None:
+    minima = _component_minima(rows, components, k, witness_cap)
+    if minima is None:
         return 0, []
-    return _count_union(rows, components, gammas, k, witness_cap)
+    return _count_union(rows, components, minima, k, witness_cap)
 
 
 def count_sets(g: Graph, k: int, mode: Mode) -> int:
@@ -366,9 +418,9 @@ def count_minimum(
     check_countable(g.n)
     if witness_cap < 0:
         raise ValueError("witness_cap must be nonnegative")
-    rows, components, gammas = _minimum_parts(g, mode)
-    gamma = sum(gammas)
-    count, masks = _count_union(rows, components, gammas, gamma, witness_cap)
+    rows, components, minima = _minimum_parts(g, mode, witness_cap)
+    gamma = sum(size for size, _ in minima)
+    count, masks = _count_union(rows, components, minima, gamma, witness_cap)
     witnesses = tuple(VertexSet(g.n, mask) for mask in masks)
     return DominationReport(mode=mode, gamma=gamma, count=count, witnesses=witnesses)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -333,3 +334,30 @@ assert "numpy" in sys.modules
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "edges, flags, gamma",
+    [
+        ([(v, v + 1) for v in range(64)], [], 22),
+        ([(v, v + 1) for v in range(64)], ["--total"], 33),
+        ([(v, (v + 1) % 65) for v in range(65)], [], 22),
+    ],
+    ids=["path", "path-total", "cycle"],
+)
+def test_gamma_of_a_long_path_or_cycle(tmp_path, edges, flags, gamma):
+    """65 vertices, past the counting cap: without the packing bound the
+    walk spent minutes on the sizes below gamma."""
+    import domcount
+
+    path = tmp_path / "graph.edges"
+    path.write_text("65\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    src = str(Path(domcount.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "domcount", "gamma", "--in", str(path),
+         "--format", "edges", *flags],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["gamma"] == gamma

@@ -89,6 +89,20 @@ KINDS = ["header", "padding", "out_of_range", "truncated", "over_long",
          "blank"]
 
 
+def corpus_lines(rng, n, count, kinds):
+    """``count`` canonical records of order n with ``kinds`` applied: each
+    mutation to a random record line, then each blank line inserted, so
+    that no mutation is applied to a blank line."""
+    lines = [random_record(rng, n) for _ in range(count)]
+    for kind in kinds:
+        if kind != "blank":
+            at = rng.randrange(len(lines))
+            lines[at] = mutate(lines[at], kind, n, rng)
+    for _ in range(kinds.count("blank")):
+        lines.insert(rng.randrange(len(lines)), rng.choice([b"", b"  "]))
+    return lines
+
+
 @st.composite
 def corpora(draw):
     """Bytes of a graph6 corpus: mostly canonical records of one order
@@ -97,13 +111,9 @@ def corpora(draw):
     n = draw(st.integers(0, 12) | st.sampled_from([13, 20, 33, 62, 63, 64]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     count = draw(st.integers(1, 40 if n <= 12 else 4))
-    lines = [random_record(rng, n) for _ in range(count)]
-    for kind in draw(st.lists(st.sampled_from(KINDS), max_size=3)):
-        at = rng.randrange(len(lines))
-        if kind == "blank":
-            lines.insert(at, rng.choice([b"", b"  "]))
-        else:
-            lines[at] = mutate(lines[at], kind, n, rng)
+    lines = corpus_lines(
+        rng, n, count, draw(st.lists(st.sampled_from(KINDS), max_size=3))
+    )
     end = draw(st.sampled_from([b"\n", b"\r\n"]))
     return end.join(lines) + draw(st.sampled_from([end, b""]))
 
@@ -116,6 +126,17 @@ class TestAgainstOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.g6"
             path.write_bytes(corpus)
+            assert_matches_oracle(path)
+
+    @pytest.mark.parametrize("kind", ["padding", "out_of_range"])
+    def test_blank_line_before_a_mutation(self, tmp_path, kind):
+        # with the blank line inserted first, the mutation picks the empty
+        # line and fails on 6 of these 40 seeds
+        for seed in range(40):
+            lines = corpus_lines(random.Random(seed), 20, 1, ["blank", kind])
+            assert sum(not line.strip() for line in lines) == 1
+            path = tmp_path / "corpus.g6"
+            path.write_bytes(b"\n".join(lines) + b"\n")
             assert_matches_oracle(path)
 
     @pytest.mark.parametrize(
