@@ -13,12 +13,9 @@ The codec works on whole words, not single bits.  A data byte is 63 plus a
 alphabet, so one ``bytes.translate`` maps between the two and ``binascii``
 converts the body to and from one big integer, the bit stream.  The writer
 formats column j of that stream as the low j bits of ``rows[j]``, reversed,
-and joins the columns.  The parser has two paths, chosen by n.  Above
-``PER_PAIR_MAX_N`` it lays the columns out as the lower triangle of a
-row-major n x n character matrix; row v is then its own slice of row v plus
-the strided slice down column v, so C does the transpose.  Up to that order
-building the matrix costs more than the whole graph, so it walks the set
-bits of the stream integer and looks each one up in a pair table.
+and joins the columns.  The parser lays the columns out as the lower
+triangle of a row-major n x n character matrix; row v is then its own slice
+of row v plus the strided slice down column v, so C does the transpose.
 """
 
 from __future__ import annotations
@@ -37,19 +34,6 @@ _GRAPH6_DIGITS = bytes(range(63, 127))
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 _TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
-
-# Largest order parsed by the per-pair walk rather than the matrix.  The
-# walk's cost grows with the edge count, the matrix's with C(n, 2) plus a
-# fixed setup.  Measured per record (2-vCPU x86, Python 3.11): on complete
-# graphs they cross near n = 12 (walk 7 us vs matrix 11 us at n = 8, 17 vs
-# 15 us at n = 12); at edge density 1/2 the walk stays ahead up to n = 20.
-PER_PAIR_MAX_N = 12
-
-# Pair k of the column-major stream as (i, 1 << j, j, 1 << i).
-_PAIRS = tuple(
-    (i, 1 << j, j, 1 << i) for j in range(PER_PAIR_MAX_N) for i in range(j)
-)
-
 
 def _decode_size(data: bytes, base: int) -> tuple[int, int]:
     """Decode the N(n) size field at ``base``; return (n, bytes consumed)."""
@@ -148,26 +132,16 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
             raise GraphParseError(message, position=base + consumed + nbytes - 1)
         warnings.warn(message)
     stream >>= padding
-    if n <= PER_PAIR_MAX_N:
-        rows = [0] * n
-        last = nbits - 1  # pair k of the stream is bit last - k
-        while stream:
-            top = stream.bit_length() - 1
-            i, bit_j, j, bit_i = _PAIRS[last - top]
-            rows[i] |= bit_j
-            rows[j] |= bit_i
-            stream ^= 1 << top
-    else:
-        bits = format(stream, f"0{nbits}b")
-        zeros = "0" * n
-        # Row j holds column j of the stream: (i, j) at j*n + i for i < j.
-        matrix = "".join(
-            bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)
-        )
-        rows = [
-            int((matrix[v * n : v * n + v] + matrix[v * n + v :: n])[::-1], 2)
-            for v in range(n)
-        ]
+    bits = format(stream, f"0{nbits}b")
+    zeros = "0" * n
+    # Row j holds column j of the stream: (i, j) at j*n + i for i < j.
+    matrix = "".join(
+        bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)
+    )
+    rows = [
+        int((matrix[v * n : v * n + v] + matrix[v * n + v :: n])[::-1], 2)
+        for v in range(n)
+    ]
     return Graph(n, tuple(rows))
 
 
@@ -176,10 +150,8 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         out = [n + 63]
-    elif n <= 258047:
+    else:  # n <= MAX_VERTICES < 258048: the four-byte field
         out = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    else:  # unreachable under MAX_VERTICES, kept for the format's sake
-        out = [126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)]
     # Column j is the low j bits of rows[j], vertex 0 first.
     bits = "".join(
         format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)

@@ -6,8 +6,7 @@ through n = 7, i.e. 2^21 graphs) for the maximum number of (total) dominating
 answers the same question over any stream of graphs of one order, and
 ``scan_corpus`` over the lines of a graph6 corpus.  All three run one numpy
 block kernel (:mod:`domcount.pairscan`, imported only when a γ=2 scan runs)
-and produce identical records on identical inputs.  ``extremal_scan`` with
-another target counts each graph with the counting engine.
+and produce identical records on identical inputs.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from math import comb, factorial
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .constructions import component_plan
-from .domination import Mode, check_mode, count_sets, domination_number
-from .errors import GraphParseError, MixedOrderError, SizeLimitError
+from .domination import Mode, check_mode
+from .errors import GraphParseError, SizeLimitError
 from .graph6 import graph6_order, parse_graph6, write_graph6
 from .graphs import Graph
 
@@ -49,9 +48,8 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, once, in edge-mask counter
-    order.  Refuses n > 7; ingest a graph6 corpus for larger orders."""
+def _check_enumeration(n: int, chunk_size: int = 1) -> None:
+    """Refuse an order or chunk size the labeled enumeration cannot take."""
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"labeled enumeration supports n <= {ENUMERATION_MAX_N}; "
@@ -59,6 +57,14 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         )
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled simple graph on n vertices, once, in edge-mask counter
+    order.  Refuses n > 7; ingest a graph6 corpus for larger orders."""
+    _check_enumeration(n)
     for mask in range(1 << comb(n, 2)):
         yield graph_from_edge_mask(n, mask)
 
@@ -69,7 +75,8 @@ class ExtremalRecord:
 
     ``witness`` is the graph6 record of one maximizing graph (the smallest
     record byte-wise, which makes the reduction chunking-independent);
-    ``graphs_scanned`` tallies every graph seen, filtered or not.
+    ``graphs_scanned`` tallies every graph seen, filtered or not;
+    ``target_gamma`` is always 2, the one domination number scans answer.
     """
 
     n: int
@@ -92,71 +99,29 @@ def _record(best: PairMaximum) -> ExtremalRecord:
     )
 
 
-def extremal_scan(
-    graphs: Iterable[Graph], mode: Mode, target_gamma: int = 2
-) -> ExtremalRecord:
+def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     """Scan a uniform-order graph stream for the maximum number of
-    (total) dominating sets of size ``target_gamma`` among graphs whose
-    ordinary domination number is exactly ``target_gamma``.
+    (total) dominating pairs among graphs whose ordinary domination number
+    is exactly 2, with the numpy pair kernel on blocks of graphs.
 
     The ordinary-domination filter applies in both modes: without it the
     total-mode maximum is trivially C(n, 2), attained by complete graphs,
     because every pair of K_n is totally dominating.  In total mode,
-    graphs with no total dominating set of the target size (in particular
-    graphs with an isolated vertex) count toward ``graphs_scanned`` but
-    cannot produce the maximum.
-
-    Target 2 runs the numpy pair kernel on blocks of graphs; other targets
-    count each graph with :func:`count_sets`.
+    graphs with no total dominating pair (in particular graphs with an
+    isolated vertex) count toward ``graphs_scanned`` but cannot produce
+    the maximum.
     """
-    if target_gamma == 2:
-        check_mode(mode)
-        from .pairscan import PairMaximum
+    check_mode(mode)
+    from .pairscan import PairMaximum
 
-        best: PairMaximum | None = None
-        for g in graphs:
-            if best is None:
-                best = PairMaximum(g.n, mode)
-            best.add_graph(g)
-        if best is None:
-            raise ValueError("graph stream is empty")
-        return _record(best)
-    n: int | None = None
-    scanned = 0
-    best_count = 0
-    best_witness: str | None = None
+    best: PairMaximum | None = None
     for g in graphs:
-        if n is None:
-            n = g.n
-        elif g.n != n:
-            raise MixedOrderError(
-                f"graph stream mixes orders {n} and {g.n}"
-            )
-        scanned += 1
-        if mode == "total" and g.has_isolated_vertex():
-            continue
-        count = count_sets(g, target_gamma, mode)
-        if count == 0:
-            continue  # domination number above target, or no total set
-        if domination_number(g) < target_gamma:
-            continue  # domination number below target
-        if count > best_count:
-            best_count = count
-            best_witness = write_graph6(g)
-        elif count == best_count:
-            record = write_graph6(g)
-            if best_witness is None or record < best_witness:
-                best_witness = record
-    if n is None:
+        if best is None:
+            best = PairMaximum(g.n, mode)
+        best.add_graph(g)
+    if best is None:
         raise ValueError("graph stream is empty")
-    return ExtremalRecord(
-        n=n,
-        mode=mode,
-        target_gamma=target_gamma,
-        max_count=best_count,
-        witness=best_witness,
-        graphs_scanned=scanned,
-    )
+    return _record(best)
 
 
 def scan_corpus(
@@ -199,15 +164,7 @@ def scan_labeled(
     graphs with ordinary domination number exactly 2 compete.  Results are
     identical for any ``chunk_size``."""
     check_mode(mode)
-    if n > ENUMERATION_MAX_N:
-        raise SizeLimitError(
-            f"labeled enumeration supports n <= {ENUMERATION_MAX_N}; "
-            "use a graph6 corpus for larger orders"
-        )
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+    _check_enumeration(n, chunk_size)
     from .pairscan import PairMaximum, edge_mask_blocks
 
     best = PairMaximum(n, mode)
@@ -225,10 +182,7 @@ def labeled_max_edges_gamma2(
 ) -> int:
     """Maximum edge count over all labeled n-vertex graphs with domination
     number >= 2, by exhaustive scan (n <= 7)."""
-    if n > ENUMERATION_MAX_N:
-        raise SizeLimitError(
-            f"labeled enumeration supports n <= {ENUMERATION_MAX_N}"
-        )
+    _check_enumeration(n, chunk_size)
     if n < 2:
         raise ValueError("domination number >= 2 needs n >= 2")
     import numpy as np

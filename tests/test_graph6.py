@@ -20,7 +20,7 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import PER_PAIR_MAX_N, edge_list_order, graph6_order
+from domcount.graph6 import edge_list_order, graph6_order
 from domcount.scanning import graph_from_edge_mask
 
 
@@ -155,11 +155,8 @@ class TestWriteGraph6:
 
 
 class TestOracleEquivalence:
-    """The word-level codec against the former bit-by-bit one, on both sides
-    of the per-pair/matrix parse choice and of the 62/63 size-field switch."""
-
-    def test_orders_cover_both_parsers(self):
-        assert 0 < PER_PAIR_MAX_N < 62
+    """The word-level codec against the former bit-by-bit one, on orders
+    0 to 80, across the 62/63 size-field switch."""
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -195,6 +195,37 @@ class TestMaxEdges:
             labeled_max_edges_gamma2(8)
 
 
+LABELED_ENTRY_POINTS = {
+    "enumerate_labeled_graphs": lambda n: next(enumerate_labeled_graphs(n)),
+    "scan_labeled": lambda n: scan_labeled(n, "dominating"),
+    "labeled_max_edges_gamma2": labeled_max_edges_gamma2,
+}
+
+
+class TestEnumerationGuard:
+    """The labeled-enumeration entry points refuse the same inputs with the
+    same errors."""
+
+    @pytest.mark.parametrize("entry", sorted(LABELED_ENTRY_POINTS))
+    def test_order_8_is_refused_with_the_corpus_hint(self, entry):
+        with pytest.raises(SizeLimitError) as info:
+            LABELED_ENTRY_POINTS[entry](8)
+        assert str(info.value) == (
+            "labeled enumeration supports n <= 7; "
+            "use a graph6 corpus for larger orders"
+        )
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    @pytest.mark.parametrize(
+        "scan",
+        [lambda n, c: scan_labeled(n, "dominating", c), labeled_max_edges_gamma2],
+        ids=["scan_labeled", "labeled_max_edges_gamma2"],
+    )
+    def test_chunk_size_must_be_positive(self, scan, chunk_size):
+        with pytest.raises(ValueError, match="^chunk_size must be positive$"):
+            scan(5, chunk_size)
+
+
 class TestEfficiencyRatio:
     def test_even_order_pairs_ratio_is_one(self):
         for n in (4, 10, 50, 128):
