@@ -11,6 +11,7 @@ stderr as one line.  Exit codes: 0 success, 1 usage error, 2 parse error
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -62,8 +63,13 @@ _JSON_SAFE_MAX = 2**53
 
 
 def _num(value: int) -> int | str:
-    """Integers beyond 2**53 become decimal strings (lossless in JSON)."""
-    return value if -_JSON_SAFE_MAX <= value <= _JSON_SAFE_MAX else str(value)
+    """Integers beyond 2**53 become decimal strings (lossless in JSON).
+
+    ``Decimal`` converts exactly at any length; ``str`` refuses integers
+    past the interpreter's int-to-string digit limit (4300 by default)."""
+    if -_JSON_SAFE_MAX <= value <= _JSON_SAFE_MAX:
+        return value
+    return str(decimal.Decimal(value))
 
 
 def _fraction(value: Fraction) -> dict[str, int | str]:
@@ -344,7 +350,7 @@ def run_cli(argv: list[str]) -> int:
     except SizeLimitError as exc:
         print(f"domcount: size limit: {exc}", file=sys.stderr)
         return 4
-    except (InfeasibleOrderError, UndefinedTotalDominationError, ValueError) as exc:
+    except (InfeasibleOrderError, UndefinedTotalDominationError) as exc:
         print(f"domcount: infeasible: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

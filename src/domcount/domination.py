@@ -19,8 +19,7 @@ polynomial is multiplicative over disjoint unions), so the domination
 number is the sum of per-component numbers, a minimum count is the product
 of per-component counts, and a count at any size k convolves the
 per-component counts.  Counts are exact, deterministic, and independent of
-enumeration chunking.  ``count_sets_naive`` re-implements the same contract
-with plain vertex lists and set arithmetic as an independent cross-check.
+enumeration chunking.
 """
 
 from __future__ import annotations
@@ -30,7 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
 
-from .errors import SizeLimitError, UndefinedTotalDominationError
+from .errors import (
+    InfeasibleOrderError,
+    SizeLimitError,
+    UndefinedTotalDominationError,
+)
 from .graphs import Graph, VertexSet
 
 Mode = Literal["dominating", "total"]
@@ -334,7 +337,9 @@ def _minimum_parts(
     :func:`_component_minima`)."""
     if g.n < 1:
         prefix = "total " if mode == "total" else ""
-        raise ValueError(f"{prefix}domination number is undefined for the empty graph")
+        raise InfeasibleOrderError(
+            f"{prefix}domination number is undefined for the empty graph"
+        )
     if mode == "total" and g.has_isolated_vertex():
         raise UndefinedTotalDominationError(
             "total domination is undefined: graph has an isolated vertex"
@@ -423,29 +428,3 @@ def count_minimum(
     count, masks = _count_union(rows, components, minima, gamma, witness_cap)
     witnesses = tuple(VertexSet(g.n, mask) for mask in masks)
     return DominationReport(mode=mode, gamma=gamma, count=count, witnesses=witnesses)
-
-
-def count_sets_naive(g: Graph, k: int, mode: Mode) -> int:
-    """Reference oracle for :func:`count_sets`.
-
-    Works from explicit neighbor lists and Python sets with no bit packing,
-    no pruning, and no shared code with the fast path.
-    """
-    check_mode(mode)
-    check_countable(g.n)
-    if k < 0:
-        raise ValueError(f"subset size must be nonnegative, got {k}")
-    if k > g.n:
-        return 0
-    neighbors = [set(g.neighbors(v)) for v in range(g.n)]
-    everything = set(range(g.n))
-    count = 0
-    for subset in combinations(range(g.n), k):
-        covered = set()
-        for v in subset:
-            covered |= neighbors[v]
-            if mode == "dominating":
-                covered.add(v)
-        if covered == everything:
-            count += 1
-    return count

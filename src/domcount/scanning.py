@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .constructions import component_plan
 from .domination import Mode, check_mode
-from .errors import GraphParseError, SizeLimitError
+from .errors import GraphParseError, InfeasibleOrderError, SizeLimitError
 from .graph6 import graph6_order, parse_graph6, write_graph6
 from .graphs import Graph
 
@@ -56,17 +56,17 @@ def _check_enumeration(n: int, chunk_size: int = 1) -> None:
             "use a graph6 corpus for larger orders"
         )
     if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+        raise InfeasibleOrderError("vertex count must be nonnegative")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, once, in edge-mask counter
-    order.  Refuses n > 7; ingest a graph6 corpus for larger orders."""
+    order.  Refuses n > 7 and n < 0 when called; ingest a graph6 corpus for
+    larger orders."""
     _check_enumeration(n)
-    for mask in range(1 << comb(n, 2)):
-        yield graph_from_edge_mask(n, mask)
+    return (graph_from_edge_mask(n, mask) for mask in range(1 << comb(n, 2)))
 
 
 @dataclass(frozen=True)

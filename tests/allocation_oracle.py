@@ -1,12 +1,17 @@
-"""Dynamic program over every decomposition, kept as a test oracle.
+"""Two searches over every decomposition, kept as test oracles.
 
-This is the package's former ``optimize_allocation``: for each number of
-pair components it tries every vertex total for the pair part, splits each
-part optimally with a memoized recursion, and keeps the plan with the
-largest product (ties to fewer components, then to the lexicographically
-smallest sorted size list).  It is O(x * n^2) and recurses once per
-component, so tests call it only on small (n, x).  The closed-form rule in
-``domcount.partitions`` must return exactly the same plan.
+``dp_allocation`` is the package's former ``optimize_allocation``: for
+each number of pair components it tries every vertex total for the pair
+part, splits each part optimally with a memoized recursion, and keeps the
+plan with the largest product (ties to fewer components, then to the
+lexicographically smallest sorted size list).  It is O(x * n^2) and
+recurses once per component, so tests call it only on small (n, x).  The
+closed-form rule in ``domcount.partitions`` must return exactly the same
+plan.
+
+``exhaustive_decomposition_oracle`` enumerates every multiset of
+components directly and returns only the best product, with no search
+shared with either.
 """
 
 from functools import lru_cache
@@ -18,7 +23,10 @@ from domcount.constructions import (
     PartitionPlan,
     max_dominating_pairs,
 )
-from domcount.errors import InfeasibleOrderError
+from domcount.errors import InfeasibleOrderError, SizeLimitError
+
+ORACLE_MAX_N = 30
+ORACLE_MAX_X = 6
 
 
 @lru_cache(maxsize=None)
@@ -84,3 +92,41 @@ def dp_allocation(n: int, x: int) -> PartitionPlan:
         Component(KIND_PAIR, s) for s in pair_sizes
     )
     return PartitionPlan(n, x, components)
+
+
+def exhaustive_decomposition_oracle(n: int, x: int) -> int:
+    """Independent brute-force maximum of the product count.
+
+    Enumerates every multiset of (kind, size) components directly, with no
+    shared machinery with :func:`optimize_allocation`.  Capped at n <= 30,
+    x <= 6.
+    """
+    if n > ORACLE_MAX_N or x > ORACLE_MAX_X:
+        raise SizeLimitError(
+            f"oracle supports n <= {ORACLE_MAX_N}, x <= {ORACLE_MAX_X}"
+        )
+    if n < 0 or x < 0:
+        raise ValueError("n and x must be nonnegative")
+    best: int | None = None
+
+    def extend_pairs(n_left: int, x_left: int, min_size: int, product: int) -> None:
+        nonlocal best
+        if x_left == 0:
+            if n_left == 0 and (best is None or product > best):
+                best = product
+            return
+        if x_left % 2:
+            return
+        for s in range(min_size, n_left + 1):
+            extend_pairs(n_left - s, x_left - 2, s, product * max_dominating_pairs(s))
+
+    def extend_completes(n_left: int, x_left: int, min_size: int, product: int) -> None:
+        extend_pairs(n_left, x_left, 4, product)
+        if x_left >= 1:
+            for s in range(min_size, n_left + 1):
+                extend_completes(n_left - s, x_left - 1, s, product * s)
+
+    extend_completes(n, x, 1, 1)
+    if best is None:
+        raise InfeasibleOrderError(f"no decomposition exists for (n={n}, x={x})")
+    return best

@@ -9,20 +9,17 @@ import time
 from fractions import Fraction
 from math import comb
 
+from allocation_oracle import exhaustive_decomposition_oracle
 from domcount import (
     InfeasibleOrderError,
     complete_graph,
     component_plan,
     count_minimum,
     count_sets,
-    count_sets_naive,
     domination_number,
     efficiency_ratio,
     enumerate_labeled_graphs,
-    exhaustive_decomposition_oracle,
     build_component_graph,
-    check_balance_inequality,
-    check_pairing_inequality,
     labeled_max_edges_gamma2,
     max_dominating_pairs,
     max_edges_gamma2,
@@ -30,10 +27,10 @@ from domcount import (
     optimize_allocation,
     pair_extremal_graph,
     parse_graph6,
-    quad_split_comparison,
     scan_labeled,
     write_graph6,
 )
+from naive_oracle import count_sets_naive
 
 
 def _report(number, name, failures, elapsed, budget):
@@ -138,18 +135,21 @@ def test_criterion_6_allocation_inequalities():
     failures = []
     for r in range(1, 201):
         for rp in range(1, 201):
-            if not check_pairing_inequality(r, rp):
+            if not comb(r + rp, 2) >= r * rp:
                 failures.append(("pairing", r, rp))
     for r in range(2, 201):
         for a in range(1, r):
-            if not check_balance_inequality(r, a):
+            if not comb(r + a, 2) * comb(r - a, 2) <= comb(r, 2) ** 2:
                 failures.append(("balance", r, a))
     expected = {16: (784, 448), 20: (2025, 1125), 24: (4356, 2376)}
     for n, (two_pair, mixed) in expected.items():
-        record = quad_split_comparison(n)
-        if (record.two_pair_count, record.mixed_count) != (two_pair, mixed):
-            failures.append(("quad", n, record))
-        if not record.two_pairs_win:
+        counts = (
+            max_dominating_pairs(n // 2) ** 2,
+            (n // 4) ** 2 * max_dominating_pairs(n // 2),
+        )
+        if counts != (two_pair, mixed):
+            failures.append(("quad", n, counts))
+        if not counts[0] > counts[1]:
             failures.append(("quad order", n))
     _report(6, "allocation inequalities", failures, time.perf_counter() - start, 1)
 

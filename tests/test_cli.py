@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -6,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from domcount import cocktail_party, parse_graph6, write_graph6
+from domcount import (
+    cocktail_party,
+    component_plan,
+    efficiency_ratio,
+    new_graph,
+    parse_graph6,
+    write_graph6,
+)
 from domcount.cli import run_cli
 
 
@@ -303,6 +311,43 @@ class TestCliContract:
         assert code == 0
         assert isinstance(report["count"], str)
         assert int(report["count"]) == (15000 * 14999 // 2) ** 2
+
+    def test_numbers_past_the_int_string_limit_are_exact(self, capsys):
+        # over 4300 digits: str() of these integers raises ValueError
+        code, report, err = run(capsys, "formula", "--n", "30000", "--gamma", "6000")
+        assert code == 0 and err == ""
+        count = component_plan(30000, 6000).total_count
+        assert report["count"].isdigit()
+        assert decimal.Decimal(report["count"]) == count
+
+        code, report, err = run(
+            capsys, "efficiency", "--n", "100000", "--gamma", "10000"
+        )
+        assert code == 0 and err == ""
+        ratio = efficiency_ratio(100000, 10000).ratio
+        assert decimal.Decimal(report["ratio"]["num"]) == ratio.numerator
+        assert decimal.Decimal(report["ratio"]["den"]) == ratio.denominator
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["gamma"], "domination number is undefined for the empty graph"),
+            (["gamma", "--total"],
+             "total domination number is undefined for the empty graph"),
+            (["count"], "domination number is undefined for the empty graph"),
+            (["count", "--total"],
+             "total domination number is undefined for the empty graph"),
+            (["scan", "--n", "-1"], "vertex count must be nonnegative"),
+            (["scan", "--n", "-1", "--total"], "vertex count must be nonnegative"),
+        ],
+        ids=["gamma", "gamma-total", "count", "count-total", "scan", "scan-total"],
+    )
+    def test_infeasible_inputs_exit_3(self, capsys, g6_file, argv, line):
+        if argv[0] != "scan":
+            argv = argv + ["--in", g6_file(new_graph(0))]
+        code, report, err = run(capsys, *argv)
+        assert code == 3 and report is None
+        assert err == f"domcount: infeasible: {line}\n"
 
 
 def test_numpy_loads_only_for_scan():

@@ -16,7 +16,6 @@ from domcount import (
     complete_multipartite,
     count_minimum,
     count_sets,
-    count_sets_naive,
     count_sets_with_witnesses,
     disjoint_union,
     domination_number,
@@ -29,6 +28,7 @@ from domcount import (
 )
 from domcount import domination
 from domcount.scanning import graph_from_edge_mask
+from naive_oracle import count_sets_naive
 from walk_oracle import whole_graph_walk
 
 

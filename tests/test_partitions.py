@@ -2,17 +2,13 @@ from math import comb
 
 import pytest
 
-from allocation_oracle import dp_allocation
+from allocation_oracle import dp_allocation, exhaustive_decomposition_oracle
 from domcount import (
     InfeasibleOrderError,
     SizeLimitError,
-    check_balance_inequality,
-    check_pairing_inequality,
     component_plan,
-    exhaustive_decomposition_oracle,
     max_dominating_pairs,
     optimize_allocation,
-    quad_split_comparison,
 )
 
 
@@ -181,34 +177,27 @@ class TestOracle:
 
 class TestInequalities:
     def test_pairing_examples(self):
-        assert check_pairing_inequality(3, 3)  # C(6,2)=15 >= 9
-        assert check_pairing_inequality(1, 1)  # C(2,2)=1 >= 1
+        assert comb(3 + 3, 2) >= 3 * 3  # C(6,2)=15 >= 9
+        assert comb(1 + 1, 2) >= 1 * 1  # C(2,2)=1 >= 1
 
     def test_pairing_full_sweep(self):
         assert all(
-            check_pairing_inequality(r, rp)
+            comb(r + rp, 2) >= r * rp
             for r in range(1, 201)
             for rp in range(1, 201)
         )
 
     def test_balance_examples(self):
-        assert check_balance_inequality(4, 1)  # 10*3 <= 36
-        assert check_balance_inequality(10, 9)  # degenerate small side
+        assert comb(4 + 1, 2) * comb(4 - 1, 2) <= comb(4, 2) ** 2  # 10*3 <= 36
+        # degenerate small side
+        assert comb(10 + 9, 2) * comb(10 - 9, 2) <= comb(10, 2) ** 2
 
     def test_balance_full_sweep(self):
         assert all(
-            check_balance_inequality(r, a)
+            comb(r + a, 2) * comb(r - a, 2) <= comb(r, 2) ** 2
             for r in range(2, 201)
             for a in range(1, r)
         )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            check_pairing_inequality(0, 3)
-        with pytest.raises(ValueError):
-            check_balance_inequality(3, 3)
-        with pytest.raises(ValueError):
-            check_balance_inequality(3, 0)
 
 
 class TestQuadSplit:
@@ -217,13 +206,8 @@ class TestQuadSplit:
         [(16, 784, 448), (20, 2025, 1125), (24, 4356, 2376)],
     )
     def test_values(self, n, two_pair, mixed):
-        record = quad_split_comparison(n)
-        assert record.two_pair_count == two_pair == comb(n // 2, 2) ** 2
-        assert record.mixed_count == mixed
-        assert record.two_pairs_win
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleOrderError):
-            quad_split_comparison(12)
-        with pytest.raises(InfeasibleOrderError):
-            quad_split_comparison(18)
+        two_pair_count = max_dominating_pairs(n // 2) ** 2
+        mixed_count = (n // 4) ** 2 * max_dominating_pairs(n // 2)
+        assert two_pair_count == two_pair == comb(n // 2, 2) ** 2
+        assert mixed_count == mixed
+        assert two_pair_count > mixed_count

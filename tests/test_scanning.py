@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scan_oracle import oracle_extremal_scan
 
 from domcount import (
+    InfeasibleOrderError,
     MixedOrderError,
     SizeLimitError,
     complete_graph,
@@ -196,7 +197,7 @@ class TestMaxEdges:
 
 
 LABELED_ENTRY_POINTS = {
-    "enumerate_labeled_graphs": lambda n: next(enumerate_labeled_graphs(n)),
+    "enumerate_labeled_graphs": enumerate_labeled_graphs,
     "scan_labeled": lambda n: scan_labeled(n, "dominating"),
     "labeled_max_edges_gamma2": labeled_max_edges_gamma2,
 }
@@ -214,6 +215,13 @@ class TestEnumerationGuard:
             "labeled enumeration supports n <= 7; "
             "use a graph6 corpus for larger orders"
         )
+
+    @pytest.mark.parametrize("entry", sorted(LABELED_ENTRY_POINTS))
+    def test_negative_order_is_refused(self, entry):
+        with pytest.raises(
+            InfeasibleOrderError, match="^vertex count must be nonnegative$"
+        ):
+            LABELED_ENTRY_POINTS[entry](-1)
 
     @pytest.mark.parametrize("chunk_size", [0, -1])
     @pytest.mark.parametrize(
