@@ -17,8 +17,9 @@ components.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .errors import InfeasibleOrderError
@@ -146,10 +147,11 @@ class PartitionPlan:
 
     @property
     def total_count(self) -> int:
-        product = 1
-        for c in self.components:
-            product *= c.count
-        return product
+        # A balanced plan has few distinct component counts.  One power per
+        # count takes a few squarings of large numbers; one multiplication
+        # per component costs the square of the product's length in all.
+        repeats = Counter(c.count for c in self.components)
+        return prod(count**times for count, times in repeats.items())
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(sorted(c.size for c in self.components))

@@ -9,7 +9,9 @@ that holds n bits, and counts every graph's covering pairs at once.
 byte-smallest graph6 witness.  Three sources feed it blocks:
 
 * :func:`edge_mask_blocks` -- every labeled graph of an order, as
-  consecutive edge masks (``scan_labeled``);
+  consecutive edge masks (``scan_labeled``).  Rows are built by vertex
+  extension: the rows of every graph on the first n-1 vertices once, then
+  each neighbourhood of the last vertex ORed into a slice of them;
 * :meth:`PairMaximum.add_graph` -- ``Graph`` objects, gathered into blocks
   of ``SCAN_BLOCK`` (``extremal_scan``);
 * :meth:`PairMaximum.add_lines` -- graph6 corpus lines.  Canonical
@@ -64,15 +66,37 @@ def edge_mask_blocks(
     n: int, chunk_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every labeled graph on n <= 7 vertices in edge-mask counter order,
-    as blocks of (edge masks, open-neighbourhood rows)."""
-    total = 1 << comb(n, 2)
+    as blocks of (edge masks, open-neighbourhood rows); block k starts at
+    mask ``k * chunk_size``.
+
+    Rows are built by vertex extension.  ``pair_order`` is column-major, so
+    the low C(n-1, 2) bits of a mask are an order-(n-1) edge mask b and the
+    top n-1 bits are the neighbourhood S of the last vertex.  The rows of
+    every b are built once, as the one block of the order-(n-1) enumeration;
+    a run of masks sharing S is then a slice of them with bit n-1 set in
+    row u when u is in S, plus the constant last row S.  A block is filled
+    with one such slice per S it overlaps.
+    """
+    if n == 0:
+        yield np.zeros(1, np.uint32), np.zeros((0, 1), _row_dtype(0))
+        return
+    run = 1 << comb(n - 1, 2)  # masks per neighbourhood S of the last vertex
+    _, base = next(edge_mask_blocks(n - 1, run))
+    dtype = _row_dtype(n)
+    total = run << (n - 1)
     for start in range(0, total, chunk_size):
-        masks = np.arange(start, min(start + chunk_size, total), dtype=np.uint32)
-        bits = (
-            ((masks >> np.uint32(k)) & np.uint32(1)).astype(np.uint8)
-            for k in range(comb(n, 2))
-        )
-        yield masks, _rows_from_pair_bits(n, bits, len(masks))
+        stop = min(start + chunk_size, total)
+        rows = np.empty((n, stop - start), dtype)
+        for s in range(start // run, (stop - 1) // run + 1):
+            lo, hi = max(start, s * run), min(stop, (s + 1) * run)
+            lift = np.array([(s >> u & 1) << (n - 1) for u in range(n - 1)], dtype)
+            np.bitwise_or(
+                base[:, lo - s * run : hi - s * run],
+                lift[:, None],
+                out=rows[: n - 1, lo - start : hi - start],
+            )
+            rows[n - 1, lo - start : hi - start] = s
+        yield np.arange(start, stop, dtype=np.uint32), rows
 
 
 def _close(rows: np.ndarray) -> np.generic:
@@ -160,18 +184,19 @@ class PairMaximum:
         if n <= COUNT_VERTEX_CAP:
             self._empty = write_graph6(Graph(n, (0,) * n))
 
-    def add_rows(self, rows: np.ndarray, record_of: Callable[[int], str]) -> None:
-        """Fold in a block of graphs; ``record_of(i)`` is the canonical
-        graph6 record of graph i, asked for only for maximizers."""
+    def add_rows(
+        self, rows: np.ndarray, witness_of: Callable[[np.ndarray], str]
+    ) -> None:
+        """Fold in a block of graphs; ``witness_of(indices)`` is the
+        byte-smallest canonical graph6 record among the block's graphs at
+        ``indices``, asked for only for the block's maximizers."""
         counts, competes = pair_counts(rows, self.mode)
         if not competes.any():
             return
         top = int(counts[competes].max())
         if top < self.count:
             return
-        witness = min(
-            record_of(int(i)) for i in np.flatnonzero(competes & (counts == top))
-        )
+        witness = witness_of(np.flatnonzero(competes & (counts == top)))
         if top > self.count or witness < self.witness:
             self.count, self.witness = top, witness
 
@@ -199,7 +224,8 @@ class PairMaximum:
         if graphs:
             rows = np.array([g.rows for g in graphs], dtype=_row_dtype(self.n)).T
             self.add_rows(
-                np.ascontiguousarray(rows), lambda i: write_graph6(graphs[i])
+                np.ascontiguousarray(rows),
+                lambda indices: min(write_graph6(graphs[i]) for i in indices),
             )
 
     def add_lines(self, block: list[str], strict: bool) -> None:
@@ -219,7 +245,10 @@ class PairMaximum:
         if len(records):
             self.scanned += len(records)
             self.add_rows(
-                self._decode(records), lambda i: records[i].tobytes().decode("ascii")
+                self._decode(records),
+                lambda indices: min(
+                    records[i].tobytes().decode("ascii") for i in indices
+                ),
             )
 
     def _canonical(self, block: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -167,11 +167,22 @@ def scan_labeled(
     _check_enumeration(n, chunk_size)
     from .pairscan import PairMaximum, edge_mask_blocks
 
+    def reversed_bits(mask: int) -> str:
+        return format(mask, f"0{comb(n, 2)}b")[::-1]
+
     best = PairMaximum(n, mode)
     for masks, rows in edge_mask_blocks(n, chunk_size):
         best.scanned += len(masks)
+        # graph6 body bits follow pair_order, most significant first, so
+        # among records of one order the byte-smallest has the smallest
+        # bit-reversed edge mask: only that graph's record is written.
         best.add_rows(
-            rows, lambda i: write_graph6(graph_from_edge_mask(n, int(masks[i])))
+            rows,
+            lambda indices: write_graph6(
+                graph_from_edge_mask(
+                    n, min(map(int, masks[indices]), key=reversed_bits)
+                )
+            ),
         )
         del masks, rows  # freed before the next block is built
     return _record(best)

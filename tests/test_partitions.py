@@ -1,6 +1,7 @@
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allocation_oracle import dp_allocation, exhaustive_decomposition_oracle
 from domcount import (
@@ -89,6 +90,21 @@ class TestOptimizeAllocation:
             else:
                 equal_split = max_dominating_pairs(target) ** (x // 2)
                 assert plan.total_count > equal_split, (n, x)
+
+
+@st.composite
+def feasible_orders(draw):
+    """(n, x) with 1 <= x <= max(1, n // 2): every such pair has a plan."""
+    n = draw(st.integers(1, 4096))
+    return n, draw(st.integers(1, max(1, n // 2)))
+
+
+class TestTotalCount:
+    @settings(max_examples=60, deadline=None)
+    @given(feasible_orders())
+    def test_is_the_product_of_component_counts(self, order):
+        for plan in (component_plan(*order), optimize_allocation(*order)):
+            assert plan.total_count == prod(c.count for c in plan.components)
 
 
 def plan_shape(plan):

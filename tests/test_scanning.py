@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,13 +56,42 @@ class TestEnumeration:
         assert list(g.edges()) == [(0, 1), (0, 2), (0, 3)]
 
 
+class TestEdgeMaskBlocks:
+    """The vertex-extension builder against ``graph_from_edge_mask``, with
+    chunk sizes that split runs of one last-vertex neighbourhood and
+    straddle them."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_rows_match_graph_from_edge_mask(self, n):
+        from domcount.pairscan import edge_mask_blocks
+
+        total = 1 << comb(n, 2)
+        run = 1 << comb(max(n - 1, 0), 2)  # masks per last-vertex neighbourhood
+        expected = np.array(
+            [graph_from_edge_mask(n, mask).rows for mask in range(total)], np.int64
+        ).reshape(total, n).T
+        for chunk in sorted({1, 5, max(run - 1, 1), run + 3, 1 << 18}):
+            if total // chunk > 2000:
+                continue  # too many blocks to build one by one
+            blocks = list(edge_mask_blocks(n, chunk))
+            assert [int(masks[0]) for masks, _ in blocks] == list(
+                range(0, total, chunk)
+            )
+            masks = np.concatenate([masks for masks, _ in blocks])
+            assert np.array_equal(masks, np.arange(total)), (n, chunk)
+            rows = np.concatenate([rows for _, rows in blocks], axis=1)
+            assert np.array_equal(rows, expected), (n, chunk)
+
+
 class TestExtremalScan:
     @pytest.mark.parametrize("mode", ["dominating", "total"])
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_stream_and_vectorized_paths_agree(self, n, mode):
+        # extremal_scan writes every maximizer's record; scan_labeled writes
+        # only the one with the smallest bit-reversed edge mask per block
         stream = extremal_scan(enumerate_labeled_graphs(n), mode)
-        fast = scan_labeled(n, mode)
-        assert stream == fast
+        assert scan_labeled(n, mode) == stream
+        assert scan_labeled(n, mode, chunk_size=97) == stream
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -116,6 +146,27 @@ class TestExtremalScan:
         record = extremal_scan(graphs, "dominating")
         assert record.max_count == max_dominating_pairs(8) == 28
         assert record.graphs_scanned == 4
+
+
+class TestGraphAtlasOracle:
+    """networkx's graph atlas holds one graph per isomorphism class up to
+    order 7, so its maximum is the labeled maximum, found independently of
+    the labeled enumeration."""
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_atlas_maximum_matches_scan_labeled(self, mode):
+        nx = pytest.importorskip("networkx")
+        atlas = nx.graph_atlas_g()
+        for n in range(2, 8):
+            graphs = [
+                from_edges(n, g.edges()) for g in atlas if g.number_of_nodes() == n
+            ]
+            record = extremal_scan(graphs, mode)
+            assert record.max_count == scan_labeled(n, mode).max_count, n
+            if record.witness is not None:
+                witness = parse_graph6(record.witness)
+                assert domination_number(witness) == 2
+                assert count_sets(witness, 2, mode) == record.max_count
 
 
 def scan_outcome(scan, graphs, mode):
