@@ -337,10 +337,6 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.handler is _cmd_scan:
-        # numpy and the scan kernel load before the clock: elapsed_ms times
-        # the scan alone, as when every import happened at start-up.
-        from . import pairscan  # noqa: F401
     start = time.perf_counter()
     try:
         report = args.handler(args)

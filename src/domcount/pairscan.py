@@ -1,148 +1,242 @@
-"""The numpy block kernel behind every γ=2 scan.
+"""The bit-sliced kernel behind every γ=2 scan.
 
 One question -- the largest number of (total) dominating pairs among
 graphs of one order whose domination number is exactly 2 -- has one
-kernel, :func:`pair_counts`.  It takes a block of graphs as per-vertex
-open-neighbourhood rows, an (n, B) array of the smallest unsigned dtype
-that holds n bits, and counts every graph's covering pairs at once.
+kernel, :func:`pair_counts`.  It takes a block of graphs bit-sliced into
+Python ints (Biham, "A fast new DES implementation in software", FSE
+1997): lane g of an int stands for graph g of the block, and the *edge
+plane* of a vertex pair has lane g set when graph g has that edge.  A
+block is counted with O(n^3) whole-int AND, OR and XOR operations, each
+linear in the number of lanes, so the interpreter's cost is paid per
+block, not per graph.
 :class:`PairMaximum` folds blocks into the running maximum and its
-byte-smallest graph6 witness.  Three sources feed it blocks:
+byte-smallest graph6 witness.  Three sources feed it edge planes, one per
+pair in :func:`pair_order`:
 
 * :func:`edge_mask_blocks` -- every labeled graph of an order, as
-  consecutive edge masks (``scan_labeled``).  Rows are built by vertex
-  extension: the rows of every graph on the first n-1 vertices once, then
-  each neighbourhood of the last vertex ORed into a slice of them;
+  consecutive edge masks (``scan_labeled``).  The planes of a block are
+  the bit planes of its masks, built by a recurrence on whole ints;
 * :meth:`PairMaximum.add_graph` -- ``Graph`` objects, gathered into blocks
-  of ``SCAN_BLOCK`` (``extremal_scan``);
-* :meth:`PairMaximum.add_lines` -- graph6 corpus lines.  Canonical
-  records are decoded straight from their bytes; any other line goes
-  through ``parse_graph6``, in file order.
-
-This module imports numpy; the rest of the package loads it only when a
-scan runs.
+  of ``SCAN_BLOCK`` (``extremal_scan``).  The planes are read from the
+  graphs' rows;
+* :meth:`PairMaximum.add_lines` -- graph6 corpus lines.  Canonical records
+  are read straight from their bytes, one byte column of the block at a
+  time; any other line goes through ``parse_graph6``, in file order.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .domination import COUNT_VERTEX_CAP, check_countable
 from .errors import MixedOrderError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph
-from .scanning import pair_order
 
 # Graphs (or corpus lines) per kernel call outside the labeled enumeration.
-# Measured on 25 000 order-8 records (2-vCPU x86): 1024 lines a block keep
-# peak RSS within 0.1 MB of 64-line blocks and the scan within a few ms of
-# 4096-line blocks, which cost 0.3 MB more.
+# Measured on 25 000 order-8 records (2-vCPU x86, best of 7): 1024-line
+# blocks scan in 16-20 ms, 256- and 512-line blocks in 23-28 ms and 2048-
+# and 4096-line blocks in 18-20 ms; peak RSS is within 0.3 MB for all.
 SCAN_BLOCK = 1024
 
 
-def _row_dtype(n: int) -> np.dtype:
-    """Smallest unsigned dtype that holds an n-bit row (n <= 64)."""
-    return np.min_scalar_type((1 << n) - 1)
+def pair_order(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs in upper-triangle column-major order:
+    (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(i, j) for j in range(n) for i in range(j)]
 
 
-def _rows_from_pair_bits(
-    n: int, pair_bits: Iterable[np.ndarray], size: int
-) -> np.ndarray:
-    """Open-neighbourhood rows (n x size) of a block of graphs, from one
-    0/1 array per vertex pair in ``pair_order(n)``."""
-    dtype = _row_dtype(n)
-    rows = np.zeros((n, size), dtype)
-    for (i, j), bit in zip(pair_order(n), pair_bits):
-        bit = bit.astype(dtype, copy=False)
-        rows[i] |= bit << dtype.type(j)
-        rows[j] |= bit << dtype.type(i)
-    return rows
+def counter_planes(start: int, size: int, bits: int) -> list[int]:
+    """Bit planes 0 .. bits-1 of the counter start, start+1, ...,
+    start+size-1: lane g of plane e holds bit e of start + g.
 
-
-def edge_mask_blocks(
-    n: int, chunk_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every labeled graph on n <= 7 vertices in edge-mask counter order,
-    as blocks of (edge masks, open-neighbourhood rows); block k starts at
-    mask ``k * chunk_size``.
-
-    Rows are built by vertex extension.  ``pair_order`` is column-major, so
-    the low C(n-1, 2) bits of a mask are an order-(n-1) edge mask b and the
-    top n-1 bits are the neighbourhood S of the last vertex.  The rows of
-    every b are built once, as the one block of the order-(n-1) enumeration;
-    a run of masks sharing S is then a slice of them with bit n-1 set in
-    row u when u is in S, plus the constant last row S.  A block is filled
-    with one such slice per S it overlaps.
+    The planes of the lane number g over 2^k lanes come from the top one
+    down: plane k-1 has its low half clear and its high half set, and
+    plane e is ``P ^ (P >> 2**e)`` for P = plane e+1.  ``start`` is then
+    added to every lane at once by a bit-sliced ripple-carry adder.
     """
-    if n == 0:
-        yield np.zeros(1, np.uint32), np.zeros((0, 1), _row_dtype(0))
-        return
-    run = 1 << comb(n - 1, 2)  # masks per neighbourhood S of the last vertex
-    _, base = next(edge_mask_blocks(n - 1, run))
-    dtype = _row_dtype(n)
-    total = run << (n - 1)
+    lanes = (1 << size) - 1
+    k = (size - 1).bit_length()
+    index = [0] * bits
+    if k:
+        half = 1 << (k - 1)
+        plane = ((1 << half) - 1) << half
+        index[k - 1] = plane & lanes
+        for e in range(k - 2, -1, -1):
+            plane ^= plane >> (1 << e)
+            index[e] = plane & lanes
+    carry = 0
+    for e, plane in enumerate(index):
+        if start >> e & 1:
+            index[e] = plane ^ carry ^ lanes
+            carry |= plane
+        else:
+            index[e] = plane ^ carry
+            carry &= plane
+    return index
+
+
+def edge_mask_blocks(n: int, chunk_size: int) -> Iterator[tuple[range, list[int]]]:
+    """Every labeled graph on n vertices in edge-mask counter order, as
+    blocks of (edge masks, edge planes): lane g of plane e is bit e of
+    mask ``masks[g]``, the edge ``pair_order(n)[e]``.  Block k holds the
+    masks from ``k * chunk_size`` on."""
+    m = comb(n, 2)
+    total = 1 << m
     for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
-        rows = np.empty((n, stop - start), dtype)
-        for s in range(start // run, (stop - 1) // run + 1):
-            lo, hi = max(start, s * run), min(stop, (s + 1) * run)
-            lift = np.array([(s >> u & 1) << (n - 1) for u in range(n - 1)], dtype)
-            np.bitwise_or(
-                base[:, lo - s * run : hi - s * run],
-                lift[:, None],
-                out=rows[: n - 1, lo - start : hi - start],
-            )
-            rows[n - 1, lo - start : hi - start] = s
-        yield np.arange(start, stop, dtype=np.uint32), rows
+        masks = range(start, min(start + chunk_size, total))
+        yield masks, counter_planes(start, len(masks), m)
 
 
-def _close(rows: np.ndarray) -> np.generic:
-    """Turn open-neighbourhood rows into closed ones, in place; return the
-    all-vertices mask."""
-    n = len(rows)
-    rows |= (rows.dtype.type(1) << np.arange(n, dtype=rows.dtype))[:, None]
-    return rows.dtype.type((1 << n) - 1)
+def lane_sum(planes: Iterable[int]) -> list[int]:
+    """Per-lane sum of 0/1 planes, as binary digit planes (least
+    significant first), by a carry-save adder tree: full adders take three
+    planes of one weight to a sum of that weight and a carry of the next,
+    until each weight holds one plane.  Planes are taken as they come, so
+    at most two of each weight wait at a time."""
+    digits = []
+    column: Iterable[int] = planes
+    while True:
+        carries = []
+        pending: list[int] = []
+        for plane in column:
+            pending.append(plane)
+            if len(pending) == 3:
+                a, b, c = pending
+                half = a ^ b
+                pending = [half ^ c]
+                carries.append(a & b | half & c)
+        if len(pending) == 2:
+            a, b = pending
+            pending = [a ^ b]
+            carries.append(a & b)
+        if not pending:
+            return digits
+        digits.append(pending[0])
+        column = carries
 
 
-def _without_dominating_vertex(closed: np.ndarray, full: np.generic) -> np.ndarray:
-    keep = np.ones(closed.shape[1], dtype=bool)
-    for row in closed:
-        keep &= row != full
-    return keep
+def maximum(digits: list[int], lanes: int) -> tuple[int, int]:
+    """The largest value among the nonzero set of ``lanes``, given as
+    binary digit planes, and the lanes that hold it; read top digit
+    first."""
+    top = 0
+    for k in range(len(digits) - 1, -1, -1):
+        hit = lanes & digits[k]
+        if hit:
+            lanes, top = hit, top | 1 << k
+    return top, lanes
 
 
-def no_dominating_vertex(rows: np.ndarray) -> np.ndarray:
-    """Per graph of a block of open-neighbourhood rows (n x B): no vertex is
-    adjacent to all others, i.e. domination number >= 2.  ``rows`` is
-    overwritten with the closed rows."""
-    return _without_dominating_vertex(rows, _close(rows))
+def lanes_of(mask: int) -> Iterator[int]:
+    """The set lanes of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def pair_counts(rows: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """The γ=2 kernel.  For a block of graphs given as open-neighbourhood
-    rows (n x B), return per graph the number of (total) dominating pairs
-    and whether the graph competes for the maximum.  ``rows`` is
-    overwritten with the closed rows, so a block needs no second copy.
+def smallest_reversed(lanes: int, planes: list[int]) -> int:
+    """The lane of the nonzero set ``lanes`` whose bits over ``planes``,
+    read from plane 0 up, are smallest; the lanes must differ on some
+    plane."""
+    for plane in planes:
+        rest = lanes & ~plane
+        if rest:
+            lanes = rest
+    return lanes.bit_length() - 1
 
-    A graph competes when it has a qualifying pair and no dominating vertex,
-    that is, when its domination number is exactly 2 in either mode (a
-    total dominating pair is also dominating).  A graph with an isolated
-    vertex has no total dominating pair, so it never competes in total mode.
+
+def adjacency(n: int, planes: list[int]) -> list[list[int]]:
+    """Edge planes, one per pair in ``pair_order(n)``, as an n x n matrix
+    (the diagonal is 0)."""
+    adj = [[0] * n for _ in range(n)]
+    for (i, j), plane in zip(pair_order(n), planes):
+        adj[i][j] = adj[j][i] = plane
+    return adj
+
+
+def no_dominating_vertex(adj: list[list[int]], lanes: int) -> int:
+    """The ``lanes`` whose graph has no vertex adjacent to all the others,
+    i.e. domination number >= 2."""
+    found = 0
+    for v, row in enumerate(adj):
+        plane = lanes
+        for w, edge in enumerate(row):
+            if w != v:
+                plane &= edge
+                if not plane:
+                    break
+        found |= plane
+    return lanes & ~found
+
+
+def pair_counts(
+    n: int, planes: list[int], lanes: int, mode: str
+) -> tuple[list[int], int]:
+    """The γ=2 kernel.  For a block of order-n graphs given as edge
+    planes, one per pair in ``pair_order(n)``, and the set ``lanes`` of
+    lanes that hold a graph, return each graph's number of (total)
+    dominating pairs as binary digit planes, and the lanes that compete
+    for the maximum.
+
+    A pair {a, b} dominates a lane when, for every other vertex w, the lane
+    is set in ``E[a,w] | E[b,w]``; a total dominating pair must also be an
+    edge.  A graph competes when it has a qualifying pair and no vertex is
+    adjacent to all the others, that is, when its domination number is
+    exactly 2 in either mode (a total dominating pair is also dominating).
+    A graph with an isolated vertex has no total dominating pair, so it
+    never competes in total mode.
     """
-    n = len(rows)
-    if mode == "dominating":
-        full = _close(rows)
-    else:
-        full = rows.dtype.type((1 << n) - 1)
-    counts = np.zeros(rows.shape[1], dtype=np.min_scalar_type(comb(n, 2)))
-    for u, v in combinations(range(n), 2):
-        counts += (rows[u] | rows[v]) == full
-    if mode == "total":
-        _close(rows)
-    return counts, (counts > 0) & _without_dominating_vertex(rows, full)
+    adj = adjacency(n, planes)
+    digits = lane_sum(_dominating_pairs(adj, lanes, mode))
+    qualified = 0
+    for digit in digits:
+        qualified |= digit
+    return digits, qualified & no_dominating_vertex(adj, lanes)
+
+
+def _dominating_pairs(
+    adj: list[list[int]], lanes: int, mode: str
+) -> Iterator[int]:
+    """Per pair {a, b}, the lanes it (totally) dominates."""
+    n = len(adj)
+    for a, b in combinations(range(n), 2):
+        plane = adj[a][b] if mode == "total" else lanes
+        row_a, row_b = adj[a], adj[b]
+        for w in range(n):
+            if w != a and w != b:
+                plane &= row_a[w] | row_b[w]
+                if not plane:
+                    break
+        yield plane
+
+
+# Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs
+# of 2^t of each).
+_BIT = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
+# Per graph6 body bit t (most significant first): b"1" where the byte,
+# less 63, has bit 5 - t set; byte - 63 agrees with byte + 193 in its low
+# eight bits.  Bytes outside [63, 126] map to either.
+_SEXTET = [_BIT[5 - t][193:] + _BIT[5 - t][:193] for t in range(6)]
+
+
+def _plane(column: bytes, table: bytes) -> int:
+    """The plane whose lane g is ``table`` at byte g of ``column`` read
+    from the end (the last byte is lane 0)."""
+    return int(column.translate(table), 2)
+
+
+def _bad_table(good: Iterable[int]) -> bytes:
+    """b"0" for the bytes in ``good``, b"1" for the rest."""
+    accepted = set(good)
+    return bytes(b"10"[byte in accepted] for byte in range(256))
+
+
+_IN_RANGE = _bad_table(range(63, 127))
+_NEWLINE = _bad_table([ord("\n")])
 
 
 def line_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -179,24 +273,36 @@ class PairMaximum:
         self.scanned = 0
         self._graphs: list[Graph] = []
         # A canonical record of order n has the size field and the length of
-        # the empty graph's record.
+        # the empty graph's record, every body byte in [63, 126], zero
+        # padding bits and a newline: one (byte position, table) check each.
         self._empty = ""
+        self._checks: list[tuple[int, bytes]] = []
         if n <= COUNT_VERTEX_CAP:
-            self._empty = write_graph6(Graph(n, (0,) * n))
+            self._empty = empty = write_graph6(Graph(n, (0,) * n))
+            size = len(empty)
+            field = size - (comb(n, 2) + 5) // 6
+            padding = (1 << 6 * (size - field) - comb(n, 2)) - 1
+            self._checks = [(p, _bad_table([ord(empty[p])])) for p in range(field)]
+            self._checks += [(p, _IN_RANGE) for p in range(field, size)]
+            if padding:
+                good = [b for b in range(63, 127) if not (b - 63) & padding]
+                self._checks[-1] = (size - 1, _bad_table(good))
+            self._checks.append((size, _NEWLINE))
 
-    def add_rows(
-        self, rows: np.ndarray, witness_of: Callable[[np.ndarray], str]
+    def add_planes(
+        self, planes: list[int], lanes: int, witness_of: Callable[[int], str]
     ) -> None:
-        """Fold in a block of graphs; ``witness_of(indices)`` is the
-        byte-smallest canonical graph6 record among the block's graphs at
-        ``indices``, asked for only for the block's maximizers."""
-        counts, competes = pair_counts(rows, self.mode)
-        if not competes.any():
+        """Fold in a block of graphs given as edge planes, with ``lanes``
+        the lanes that hold a graph; ``witness_of(maximizers)`` is the
+        byte-smallest canonical graph6 record among the graphs at the lanes
+        ``maximizers``, asked for only for the block's maximizers."""
+        digits, competes = pair_counts(self.n, planes, lanes, self.mode)
+        if not competes:
             return
-        top = int(counts[competes].max())
+        top, maximizers = maximum(digits, competes)
         if top < self.count:
             return
-        witness = witness_of(np.flatnonzero(competes & (counts == top)))
+        witness = witness_of(maximizers)
         if top > self.count or witness < self.witness:
             self.count, self.witness = top, witness
 
@@ -221,67 +327,75 @@ class PairMaximum:
     def flush(self) -> None:
         """Run the kernel on the graphs gathered by :meth:`add_graph`."""
         graphs, self._graphs = self._graphs, []
-        if graphs:
-            rows = np.array([g.rows for g in graphs], dtype=_row_dtype(self.n)).T
-            self.add_rows(
-                np.ascontiguousarray(rows),
-                lambda indices: min(write_graph6(graphs[i]) for i in indices),
-            )
+        if not graphs:
+            return
+        # Row i of every graph as `width` big-endian bytes, last graph
+        # first: bit j of the row is a byte column of its own.
+        width = (self.n + 7) // 8
+        columns = [
+            b"".join([g.rows[i].to_bytes(width, "big") for g in reversed(graphs)])
+            for i in range(self.n)
+        ]
+        planes = [
+            _plane(columns[i][width - 1 - j // 8 :: width], _BIT[j % 8])
+            for i, j in pair_order(self.n)
+        ]
+        self.add_planes(
+            planes,
+            (1 << len(graphs)) - 1,
+            lambda maximizers: min(
+                write_graph6(graphs[g]) for g in lanes_of(maximizers)
+            ),
+        )
 
     def add_lines(self, block: list[str], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
 
         Lines that are canonical records of order n -- the empty graph's
         size field and length, every byte in [63, 126], zero padding bits,
-        a newline -- are decoded here and are their own witnesses.  Every
+        a newline -- are read here and are their own witnesses.  Every
         other line is parsed by ``parse_graph6`` in file order; canonical
         lines never raise, so errors and warnings come out in file order.
         """
-        canonical, records = self._canonical(block)
-        for i in np.flatnonzero(~canonical):
-            record = block[i].strip()
-            if record:
-                self.add_graph(parse_graph6(record, strict=strict))
-        if len(records):
-            self.scanned += len(records)
-            self.add_rows(
-                self._decode(records),
-                lambda indices: min(
-                    records[i].tobytes().decode("ascii") for i in indices
-                ),
-            )
-
-    def _canonical(self, block: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Which lines of ``block`` are canonical records, and those records
-        (without the newline) as a uint8 array, one row per record."""
-        canonical = np.zeros(len(block), dtype=bool)
-        size = len(self._empty)
-        if self.n > COUNT_VERTEX_CAP:
-            return canonical, np.zeros((0, size), np.uint8)
-        lengths = np.fromiter(map(len, block), np.intp, len(block))
-        candidate = lengths == size + 1
-        joined = "".join(compress(block, candidate))
-        if not joined.isascii():
-            return canonical, np.zeros((0, size), np.uint8)
-        data = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, size + 1)
-        field = size - (comb(self.n, 2) + 5) // 6
-        body = data[:, field:size]
-        ok = (data[:, size] == ord("\n")) & (
-            data[:, :field] == np.frombuffer(self._empty[:field].encode(), np.uint8)
-        ).all(axis=1)
-        ok &= ((body >= 63) & (body <= 126)).all(axis=1)
-        padding = 6 * (size - field) - comb(self.n, 2)
-        if padding:
-            ok &= ((body[:, -1] - 63) & ((1 << padding) - 1)) == 0
-        canonical[np.flatnonzero(candidate)[ok]] = True
-        return canonical, data[ok, :size]
-
-    def _decode(self, records: np.ndarray) -> np.ndarray:
-        """Open-neighbourhood rows of canonical records of order n."""
-        field = records.shape[1] - (comb(self.n, 2) + 5) // 6
-        body = np.ascontiguousarray((records[:, field:] - 63).T)  # 6 bits a byte
-        bits = (
-            (body[k // 6] >> np.uint8(5 - k % 6)) & np.uint8(1)
-            for k in range(comb(self.n, 2))
+        at, data, ok = self._canonical(block)
+        flags = format(ok, f"0{len(at)}b")[::-1]  # flags[r]: record r is canonical
+        canonical = {i for i, flag in zip(at, flags) if flag == "1"}
+        for i, line in enumerate(block):
+            if i not in canonical:
+                record = line.strip()
+                if record:
+                    self.add_graph(parse_graph6(record, strict=strict))
+        if not ok:
+            return
+        self.scanned += ok.bit_count()
+        stride = len(self._empty) + 1
+        body = [
+            data[p::stride][::-1]
+            for p in range(stride - 1 - (comb(self.n, 2) + 5) // 6, stride - 1)
+        ]
+        self.add_planes(
+            [_plane(body[k // 6], _SEXTET[k % 6]) for k in range(comb(self.n, 2))],
+            ok,
+            lambda maximizers: min(
+                data[r * stride : (r + 1) * stride - 1] for r in lanes_of(maximizers)
+            ).decode("ascii"),
         )
-        return _rows_from_pair_bits(self.n, bits, len(records))
+
+    def _canonical(self, block: list[str]) -> tuple[list[int], bytes, int]:
+        """The lines of ``block`` with the length of a canonical record and
+        its newline, their bytes joined, and the lanes (one per such line)
+        that are canonical records."""
+        if not self._checks:
+            return [], b"", 0
+        stride = len(self._empty) + 1
+        at = [i for i, line in enumerate(block) if len(line) == stride]
+        if not at:
+            return [], b"", 0
+        joined = "".join([block[i] for i in at])
+        if not joined.isascii():
+            return [], b"", 0
+        data = joined.encode("ascii")
+        bad = 0
+        for p, table in self._checks:
+            bad |= _plane(data[p::stride][::-1], table)
+        return at, data, ((1 << len(at)) - 1) & ~bad

@@ -4,9 +4,9 @@
 through n = 7, i.e. 2^21 graphs) for the maximum number of (total) dominating
 2-sets among graphs whose domination number is exactly 2.  ``extremal_scan``
 answers the same question over any stream of graphs of one order, and
-``scan_corpus`` over the lines of a graph6 corpus.  All three run one numpy
-block kernel (:mod:`domcount.pairscan`, imported only when a γ=2 scan runs)
-and produce identical records on identical inputs.
+``scan_corpus`` over the lines of a graph6 corpus.  All three run one
+bit-sliced block kernel on Python ints (:mod:`domcount.pairscan`) and
+produce identical records on identical inputs.
 """
 
 from __future__ import annotations
@@ -15,27 +15,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .constructions import component_plan
 from .domination import Mode, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, SizeLimitError
 from .graph6 import graph6_order, parse_graph6, write_graph6
 from .graphs import Graph
-
-if TYPE_CHECKING:
-    from .pairscan import PairMaximum
+from .pairscan import PairMaximum, adjacency, edge_mask_blocks, lane_sum, line_blocks
+from .pairscan import maximum, no_dominating_vertex, pair_order, smallest_reversed
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
 
-DEFAULT_CHUNK_SIZE = 1 << 18
-
-
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs in upper-triangle column-major order:
-    (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(i, j) for j in range(n) for i in range(j)]
+# Labeled graphs per kernel call.  Planes of 2^17 lanes (16 KiB) keep a
+# block's few dozen live planes within a core's L2 cache: on a 2-vCPU x86
+# VM with 2 MiB of L2 per core, scan_labeled(7) takes 17-20 ms in a fresh
+# process against 28-30 ms with all of order 7 in one block (2^21 lanes),
+# at 11 MB less peak RSS.
+DEFAULT_CHUNK_SIZE = 1 << 17
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -102,7 +100,7 @@ def _record(best: PairMaximum) -> ExtremalRecord:
 def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     """Scan a uniform-order graph stream for the maximum number of
     (total) dominating pairs among graphs whose ordinary domination number
-    is exactly 2, with the numpy pair kernel on blocks of graphs.
+    is exactly 2, with the bit-sliced pair kernel on blocks of graphs.
 
     The ordinary-domination filter applies in both modes: without it the
     total-mode maximum is trivially C(n, 2), attained by complete graphs,
@@ -112,8 +110,6 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     the maximum.
     """
     check_mode(mode)
-    from .pairscan import PairMaximum
-
     best: PairMaximum | None = None
     for g in graphs:
         if best is None:
@@ -132,13 +128,12 @@ def scan_corpus(
     ``extremal_scan(iter_graph6(lines, strict), mode)``.
 
     Lines are read in bounded blocks.  Canonical records of the first
-    record's order are decoded in numpy and are their own witnesses; any
-    other line goes through :func:`parse_graph6`, in file order.  Raises
-    :class:`GraphParseError` when the corpus holds no record.
+    record's order are read straight from their bytes and are their own
+    witnesses; any other line goes through :func:`parse_graph6`, in file
+    order.  Raises :class:`GraphParseError` when the corpus holds no
+    record.
     """
     check_mode(mode)
-    from .pairscan import PairMaximum, line_blocks
-
     lines = iter(lines)
     head = []
     for line in lines:
@@ -159,32 +154,28 @@ def scan_corpus(
 def scan_labeled(
     n: int, mode: Mode, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> ExtremalRecord:
-    """Vectorized :func:`extremal_scan` over all labeled graphs on n
+    """Bit-sliced :func:`extremal_scan` over all labeled graphs on n
     vertices (target domination number 2), with the same filter: only
     graphs with ordinary domination number exactly 2 compete.  Results are
     identical for any ``chunk_size``."""
     check_mode(mode)
     _check_enumeration(n, chunk_size)
-    from .pairscan import PairMaximum, edge_mask_blocks
-
-    def reversed_bits(mask: int) -> str:
-        return format(mask, f"0{comb(n, 2)}b")[::-1]
-
     best = PairMaximum(n, mode)
-    for masks, rows in edge_mask_blocks(n, chunk_size):
+    for masks, planes in edge_mask_blocks(n, chunk_size):
         best.scanned += len(masks)
         # graph6 body bits follow pair_order, most significant first, so
         # among records of one order the byte-smallest has the smallest
         # bit-reversed edge mask: only that graph's record is written.
-        best.add_rows(
-            rows,
-            lambda indices: write_graph6(
+        best.add_planes(
+            planes,
+            (1 << len(masks)) - 1,
+            lambda maximizers: write_graph6(
                 graph_from_edge_mask(
-                    n, min(map(int, masks[indices]), key=reversed_bits)
+                    n, masks[smallest_reversed(maximizers, planes)]
                 )
             ),
         )
-        del masks, rows  # freed before the next block is built
+        del masks, planes  # freed before the next block is built
     return _record(best)
 
 
@@ -192,20 +183,17 @@ def labeled_max_edges_gamma2(
     n: int, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> int:
     """Maximum edge count over all labeled n-vertex graphs with domination
-    number >= 2, by exhaustive scan (n <= 7)."""
+    number >= 2, by exhaustive scan (n <= 7).  Results are identical for
+    any ``chunk_size``."""
     _check_enumeration(n, chunk_size)
     if n < 2:
         raise ValueError("domination number >= 2 needs n >= 2")
-    import numpy as np
-
-    from .pairscan import edge_mask_blocks, no_dominating_vertex
-
     best = -1
-    for masks, rows in edge_mask_blocks(n, chunk_size):
-        eligible = no_dominating_vertex(rows)
-        if eligible.any():
-            best = max(best, int(np.bitwise_count(masks[eligible]).max()))
-        del masks, rows  # freed before the next block is built
+    for masks, planes in edge_mask_blocks(n, chunk_size):
+        eligible = no_dominating_vertex(adjacency(n, planes), (1 << len(masks)) - 1)
+        if eligible:
+            best = max(best, maximum(lane_sum(planes), eligible)[0])
+        del masks, planes  # freed before the next block is built
     if best < 0:
         raise ValueError(f"no graph on {n} vertices has domination number >= 2")
     return best

@@ -1,8 +1,8 @@
 """Test oracle: the per-graph extremal reduction that ``extremal_scan`` ran
-for every target before the γ=2 scans moved to one numpy block kernel.
+for every target before the γ=2 scans moved to one block kernel.
 
 Each graph goes through ``count_sets`` on its own, so this is independent
-of the kernel's pair counting, its row dtypes and its block boundaries.
+of the kernel's pair counting, its bit slicing and its block boundaries.
 """
 
 from __future__ import annotations

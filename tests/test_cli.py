@@ -350,15 +350,40 @@ class TestCliContract:
         assert err == f"domcount: infeasible: {line}\n"
 
 
-def test_numpy_loads_only_for_scan():
-    """Only ``scan`` imports numpy; every other subcommand runs without it."""
+# Order-5 corpus lines: one canonical record, one padded with whitespace and
+# one with a CRLF ending; the last two go through parse_graph6.
+NUMPY_FREE_CORPUS = "DNw\n DFw\t\nD??\r\n"
+NUMPY_FREE_REPORTS = {
+    ("scan", "--n", "5"): {"count": 9, "witness": "DNw", "graphs_scanned": 1024},
+    ("scan", "--n", "5", "--total"):
+        {"count": 6, "witness": "DFw", "graphs_scanned": 1024},
+    ("scan", "--corpus", "{corpus}"):
+        {"count": 9, "witness": "DNw", "graphs_scanned": 3},
+    ("scan", "--corpus", "{corpus}", "--total"):
+        {"count": 6, "witness": "DFw", "graphs_scanned": 3},
+}
+
+
+def run_script(script, tmp_path):
     import domcount
 
-    script = f"""
-import io
-import sys
-sys.path.insert(0, {str(Path(domcount.__file__).parents[1])!r})
-import domcount
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(NUMPY_FREE_CORPUS.encode("ascii"))
+    header = (
+        "import io, json, sys\n"
+        f"sys.path.insert(0, {str(Path(domcount.__file__).parents[1])!r})\n"
+        f"CORPUS = {str(corpus)!r}\n"
+        f"REPORTS = {NUMPY_FREE_REPORTS!r}\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", header + script],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_no_subcommand_loads_numpy(tmp_path):
+    """No subcommand imports numpy, the γ=2 scans included."""
+    script = """
 from domcount.cli import run_cli
 assert "numpy" not in sys.modules
 for argv in (
@@ -368,16 +393,37 @@ for argv in (
     ["construct", "--n", "9", "--gamma", "3"],
     ["gamma", "--in", "-"],
     ["count", "--in", "-"],
+    ["scan", "--n", "7"],
+    ["scan", "--n", "7", "--total"],
+    ["scan", "--corpus", CORPUS],
+    ["scan", "--corpus", CORPUS, "--total"],
 ):
     sys.stdin = io.StringIO("C~\\n")
     assert run_cli(argv) == 0, argv
 assert "numpy" not in sys.modules
-assert run_cli(["scan", "--n", "3"]) == 0
-assert "numpy" in sys.modules
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scans_run_where_numpy_cannot_import(tmp_path):
+    """With ``import numpy`` failing, the scans still report the maxima."""
+    script = """
+sys.modules["numpy"] = None
+from domcount.cli import run_cli
+for argv, expected in REPORTS.items():
+    argv = [arg.format(corpus=CORPUS) for arg in argv]
+    out = io.StringIO()
+    sys.stdout, stdout = out, sys.stdout
+    try:
+        code = run_cli(argv)
+    finally:
+        sys.stdout = stdout
+    report = json.loads(out.getvalue())
+    assert code == 0, argv
+    assert {key: report[key] for key in expected} == expected, (argv, report)
+"""
+    proc = run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

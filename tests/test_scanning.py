@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +26,8 @@ from domcount import (
     parse_graph6,
     scan_labeled,
 )
+from domcount.pairscan import edge_mask_blocks, lane_sum, maximum, pair_order
+from domcount.scanning import DEFAULT_CHUNK_SIZE
 
 EXPECTED = {
     "dominating": {4: 6, 5: 9, 6: 15},
@@ -57,30 +58,60 @@ class TestEnumeration:
 
 
 class TestEdgeMaskBlocks:
-    """The vertex-extension builder against ``graph_from_edge_mask``, with
-    chunk sizes that split runs of one last-vertex neighbourhood and
-    straddle them."""
+    """The edge planes of the labeled enumeration -- the rows of each
+    block's edge-by-graph bit matrix -- against the masks and
+    ``graph_from_edge_mask``, with chunk sizes that are powers of two and
+    sizes that start blocks at unaligned masks and end them short."""
 
-    @pytest.mark.parametrize("n", range(7))
+    @staticmethod
+    def mask_bit_plane(e, start, size):
+        """Lane g: bit e of start + g, cut from a repeated string pattern."""
+        period = "0" * (1 << e) + "1" * (1 << e)
+        offset = start % len(period)
+        pattern = period * ((offset + size) // len(period) + 1)
+        return int(pattern[offset : offset + size][::-1], 2)
+
+    @pytest.mark.parametrize("n", range(8))
     def test_rows_match_graph_from_edge_mask(self, n):
-        from domcount.pairscan import edge_mask_blocks
-
-        total = 1 << comb(n, 2)
+        m, total = comb(n, 2), 1 << comb(n, 2)
         run = 1 << comb(max(n - 1, 0), 2)  # masks per last-vertex neighbourhood
-        expected = np.array(
-            [graph_from_edge_mask(n, mask).rows for mask in range(total)], np.int64
-        ).reshape(total, n).T
-        for chunk in sorted({1, 5, max(run - 1, 1), run + 3, 1 << 18}):
+        pairs = pair_order(n)
+        rng = random.Random(n)
+        chunks = {1, 5, max(run - 1, 1), run + 3, 1 << 18, DEFAULT_CHUNK_SIZE}
+        for chunk in sorted(chunks):
             if total // chunk > 2000:
                 continue  # too many blocks to build one by one
             blocks = list(edge_mask_blocks(n, chunk))
-            assert [int(masks[0]) for masks, _ in blocks] == list(
-                range(0, total, chunk)
-            )
-            masks = np.concatenate([masks for masks, _ in blocks])
-            assert np.array_equal(masks, np.arange(total)), (n, chunk)
-            rows = np.concatenate([rows for _, rows in blocks], axis=1)
-            assert np.array_equal(rows, expected), (n, chunk)
+            assert [masks.start for masks, _ in blocks] == list(range(0, total, chunk))
+            assert blocks[-1][0].stop == total
+            for masks, planes in blocks:
+                assert len(planes) == m
+                for e, plane in enumerate(planes):
+                    assert plane == self.mask_bit_plane(e, masks.start, len(masks))
+                lanes = {0, len(masks) - 1}
+                lanes.update(rng.randrange(len(masks)) for _ in range(20))
+                for g in lanes:
+                    rows = graph_from_edge_mask(n, masks.start + g).rows
+                    assert [plane >> g & 1 for plane in planes] == [
+                        rows[i] >> j & 1 for i, j in pairs
+                    ], (n, chunk, masks.start + g)
+
+
+class TestLaneSum:
+    """The carry-save adder tree against ``sum`` lane by lane."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 21, 28, 64])
+    def test_matches_sum_on_random_lanes(self, count):
+        rng = random.Random(count)
+        lanes = 200
+        planes = [rng.getrandbits(lanes) for _ in range(count)]
+        digits = lane_sum(planes)
+        for g in range(lanes):
+            value = sum((digit >> g & 1) << k for k, digit in enumerate(digits))
+            assert value == sum(plane >> g & 1 for plane in planes), g
+        if planes:
+            top = max(sum(p >> g & 1 for p in planes) for g in range(lanes))
+            assert maximum(digits, (1 << lanes) - 1)[0] == top
 
 
 class TestExtremalScan:
@@ -104,6 +135,16 @@ class TestExtremalScan:
         baseline = scan_labeled(6, "total")
         for chunk in (97, 4096, 1 << 20):
             assert scan_labeled(6, "total", chunk_size=chunk) == baseline
+
+    @pytest.mark.parametrize(
+        "mode, record",
+        [("dominating", (20, "FNz~o", 2097152)), ("total", (16, "FFz~o", 2097152))],
+    )
+    def test_order_7_records(self, mode, record):
+        # golden values, as the former numpy kernel computed them
+        for chunk in (DEFAULT_CHUNK_SIZE, (1 << 18) + 3, 1 << 21):
+            result = scan_labeled(7, mode, chunk_size=chunk)
+            assert (result.max_count, result.witness, result.graphs_scanned) == record
 
     def test_witness_achieves_the_maximum(self):
         for mode in ("dominating", "total"):
@@ -193,7 +234,7 @@ def same_order_graphs(draw, max_n: int = 64):
 
 
 class TestPairKernelAgainstOracle:
-    """The numpy pair kernel, through every γ=2 entry point, against the
+    """The bit-sliced pair kernel, through every γ=2 entry point, against the
     per-graph reduction in ``tests/scan_oracle.py``."""
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
@@ -235,12 +276,13 @@ class TestPairKernelAgainstOracle:
 
 
 class TestMaxEdges:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_closed_form(self, n):
         assert labeled_max_edges_gamma2(n) == max_edges_gamma2(n)
 
     def test_chunk_size_does_not_matter(self):
         assert labeled_max_edges_gamma2(5, chunk_size=13) == 7
+        assert labeled_max_edges_gamma2(7, chunk_size=(1 << 18) + 3) == 17
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
