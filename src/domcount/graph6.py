@@ -16,6 +16,11 @@ formats column j of that stream as the low j bits of ``rows[j]``, reversed,
 and joins the columns.  The parser lays the columns out as the lower
 triangle of a row-major n x n character matrix; row v is then its own slice
 of row v plus the strided slice down column v, so C does the transpose.
+
+The edge-list writer works on whole rows the same way.  Row u's neighbours
+above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
+digits select from a table of vertex labels, and one join writes the row's
+lines.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, SizeLimitError
-from .graphs import MAX_VERTICES, Graph, GraphBuilder
+from .graphs import MAX_VERTICES, Graph, GraphBuilder, select_bits
 
 HEADER = b">>graph6<<"
 
@@ -263,6 +268,9 @@ def parse_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Edge-list text for ``g``: vertex count, then one ``u v`` line per edge."""
+    labels = [str(v) for v in range(g.n)]
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, row in enumerate(g.rows):
+        if above := row >> (u + 1):
+            lines.append(f"{u} " + f"\n{u} ".join(select_bits(above, labels[u + 1 :])))
     return "\n".join(lines) + "\n"

@@ -9,12 +9,23 @@ is the hot path) and larger constructed graphs up to ``MAX_VERTICES``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InfeasibleOrderError, InvalidEdgeError, SizeLimitError
 
 # Construction-time vertex cap; counting operations are further capped at 64.
 MAX_VERTICES = 4096
+
+T = TypeVar("T")
+
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def select_bits(mask: int, items: Sequence[T]) -> Iterator[T]:
+    """``items[i]`` for each set bit i of ``mask``, lowest first; one
+    ``format`` of the whole mask picks them, with no shift per bit."""
+    return compress(items, format(mask, "b")[::-1].encode().translate(_SELECTOR))
 
 
 def check_order(n: int) -> None:
@@ -101,24 +112,15 @@ class Graph:
         self._check_vertex(v)
         return VertexSet(self.n, self.rows[v]).vertices()
 
-    def open_neighborhood(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return VertexSet(self.n, self.rows[v])
-
     def closed_neighborhood(self, v: int) -> VertexSet:
         self._check_vertex(v)
         return VertexSet(self.n, self.rows[v] | 1 << v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
-        for u in range(self.n):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
+        for u, row in enumerate(self.rows):
+            for v in select_bits(row >> (u + 1), range(u + 1, self.n)):
+                yield (u, v)
 
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self.rows) if self.n else False

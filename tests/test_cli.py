@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import edge_list_oracle
 from domcount import (
+    build_component_graph,
     cocktail_party,
     component_plan,
     efficiency_ratio,
@@ -198,6 +200,21 @@ class TestConstruct:
         )
         assert code == 0
         assert out.read_text().startswith("6\n")
+
+    def test_edges_file_matches_the_per_edge_writer(self, capsys, tmp_path):
+        out = tmp_path / "big.edges"
+        code, _, _ = run(
+            capsys, "construct", "--n", "300", "--gamma", "7",
+            "--out", str(out), "--format", "edges",
+        )
+        assert code == 0
+        graph, _ = build_component_graph(300, 7)
+        assert out.read_text() == edge_list_oracle.write_edge_list(graph)
+        code, report, err = run(
+            capsys, "count", "--size", "2", "--in", str(out), "--format", "edges"
+        )
+        assert code == 4 and report is None
+        assert err == "domcount: size limit: counting supports n <= 64, got n=300\n"
 
     def test_infeasible(self, capsys):
         code, _, _ = run(capsys, "construct", "--n", "6", "--gamma", "4")

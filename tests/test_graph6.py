@@ -4,6 +4,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edge_list_oracle
 import graph6_oracle as oracle
 from domcount import (
     GraphParseError,
@@ -34,6 +35,18 @@ def graphs_by_density(draw, max_n: int = 80):
     rng = random.Random(draw(st.integers(0, 2**32)))
     edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
     return from_edges(n, edges)
+
+
+def boundary_graphs(n: int) -> list:
+    """The edgeless and complete graphs of order n, and the complete graphs
+    with vertex 0 or the last vertex isolated."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return [
+        new_graph(n),
+        from_edges(n, pairs),
+        from_edges(n, [(i, j) for i, j in pairs if i > 0]),
+        from_edges(n, [(i, j) for i, j in pairs if j < n - 1]),
+    ]
 
 
 def parse_outcome(parse, data, strict):
@@ -335,3 +348,28 @@ class TestEdgeList:
     def test_write_format(self):
         g = from_edges(3, [(0, 2)])
         assert write_edge_list(g) == "3\n0 2\n"
+
+
+class TestEdgeListWriter:
+    """The row-at-a-time writer against the former per-edge one, byte for
+    byte, on rows that end on either side of the 64-bit word boundary."""
+
+    def check(self, graph):
+        text = write_edge_list(graph)
+        assert text == edge_list_oracle.write_edge_list(graph)
+        assert parse_edge_list(text).rows == graph.rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=graphs_by_density(max_n=70))
+    def test_random_graphs(self, graph):
+        self.check(graph)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 62, 63, 64, 65, 66, 67, 70])
+    def test_boundary_graphs(self, n):
+        for graph in boundary_graphs(n):
+            self.check(graph)
+
+    @pytest.mark.parametrize("n", [299, 300, 301])
+    def test_constructions(self, n):
+        for x in range(3, 8):
+            self.check(build_component_graph(n, x)[0])

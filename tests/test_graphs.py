@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import edge_list_oracle
 from conftest import labeled_graphs
 from domcount import (
     GraphBuilder,
@@ -86,6 +87,20 @@ class TestNeighborhoods:
             closed = g.closed_neighborhood(v)
             assert v in closed
             assert closed.size == g.degree(v) + 1
+
+
+class TestEdges:
+    """``Graph.edges`` against the former bit-at-a-time walk."""
+
+    @settings(deadline=None)
+    @given(labeled_graphs(max_n=70))
+    def test_matches_bit_walk(self, g):
+        assert list(g.edges()) == list(edge_list_oracle.edges(g))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 66])
+    def test_complete_and_edgeless(self, n):
+        for g in (new_graph(n - 1), new_graph(n), complete_graph(n)):
+            assert list(g.edges()) == list(edge_list_oracle.edges(g))
 
 
 class TestDisjointUnion:
