@@ -100,22 +100,6 @@ class Graph:
         """Edge count (derived from the adjacency rows)."""
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.rows[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return VertexSet(self.n, self.rows[v]).vertices()
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return VertexSet(self.n, self.rows[v] | 1 << v)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u, row in enumerate(self.rows):
@@ -124,38 +108,6 @@ class Graph:
 
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self.rows) if self.n else False
-
-    def degree_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.rows))
-
-    def relabeled(self, perm: Iterable[int]) -> "Graph":
-        """Return the graph with vertex v renamed to perm[v]."""
-        perm = list(perm)
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            new_row = 0
-            while row:
-                u = (row & -row).bit_length() - 1
-                new_row |= 1 << perm[u]
-                row &= row - 1
-            rows[perm[v]] = new_row
-        return Graph(self.n, tuple(rows))
-
-    def check_invariants(self) -> None:
-        """Assert adjacency symmetry (loops and range are checked at init)."""
-        for v in range(self.n):
-            row = self.rows[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                if not self.rows[u] >> v & 1:
-                    raise AssertionError(f"asymmetric adjacency between {u} and {v}")
-                row &= row - 1
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InvalidEdgeError(f"vertex {v} out of range for n={self.n}")
 
 
 class GraphBuilder:

@@ -16,7 +16,7 @@ split {5, 5} with 9*9 = 81.
 
 from __future__ import annotations
 
-from .constructions import PartitionPlan, balanced_split, union_plan
+from .constructions import PartitionPlan, balanced_split, require_feasible, union_plan
 from .graphs import check_order
 
 
@@ -63,6 +63,6 @@ def optimize_allocation(n: int, x: int) -> PartitionPlan:
     Feasibility is as in :func:`constructions.component_plan`; n is capped
     at ``MAX_VERTICES``, the same cap as a construction.
     """
-    plan = union_plan(n, x, _pair_sizes)
-    check_order(n)
-    return plan
+    require_feasible(n, x)
+    check_order(n)  # before the plan, which takes O(x) time and memory
+    return union_plan(n, x, _pair_sizes)

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .constructions import component_plan
 from .domination import Mode, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, SizeLimitError
 from .graph6 import graph6_order, parse_graph6, write_graph6
 from .graphs import Graph
-from .pairscan import PairMaximum, adjacency, edge_mask_blocks, lane_sum, line_blocks
-from .pairscan import maximum, no_dominating_vertex, pair_order, smallest_reversed
+from .pairscan import PairMaximum, edge_mask_blocks, line_blocks, pair_order
+from .pairscan import smallest_reversed
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -44,27 +44,6 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def _check_enumeration(n: int, chunk_size: int = 1) -> None:
-    """Refuse an order or chunk size the labeled enumeration cannot take."""
-    if n > ENUMERATION_MAX_N:
-        raise SizeLimitError(
-            f"labeled enumeration supports n <= {ENUMERATION_MAX_N}; "
-            "use a graph6 corpus for larger orders"
-        )
-    if n < 0:
-        raise InfeasibleOrderError("vertex count must be nonnegative")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-
-
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, once, in edge-mask counter
-    order.  Refuses n > 7 and n < 0 when called; ingest a graph6 corpus for
-    larger orders."""
-    _check_enumeration(n)
-    return (graph_from_edge_mask(n, mask) for mask in range(1 << comb(n, 2)))
 
 
 @dataclass(frozen=True)
@@ -151,17 +130,22 @@ def scan_corpus(
     return _record(best)
 
 
-def scan_labeled(
-    n: int, mode: Mode, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> ExtremalRecord:
+def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     """Bit-sliced :func:`extremal_scan` over all labeled graphs on n
     vertices (target domination number 2), with the same filter: only
-    graphs with ordinary domination number exactly 2 compete.  Results are
-    identical for any ``chunk_size``."""
+    graphs with ordinary domination number exactly 2 compete.  Graphs go
+    through the kernel in blocks of ``DEFAULT_CHUNK_SIZE`` edge masks, read
+    at call time; the record does not depend on it."""
     check_mode(mode)
-    _check_enumeration(n, chunk_size)
+    if n > ENUMERATION_MAX_N:
+        raise SizeLimitError(
+            f"labeled enumeration supports n <= {ENUMERATION_MAX_N}; "
+            "use a graph6 corpus for larger orders"
+        )
+    if n < 0:
+        raise InfeasibleOrderError("vertex count must be nonnegative")
     best = PairMaximum(n, mode)
-    for masks, planes in edge_mask_blocks(n, chunk_size):
+    for masks, planes in edge_mask_blocks(n, DEFAULT_CHUNK_SIZE):
         best.scanned += len(masks)
         # graph6 body bits follow pair_order, most significant first, so
         # among records of one order the byte-smallest has the smallest
@@ -177,26 +161,6 @@ def scan_labeled(
         )
         del masks, planes  # freed before the next block is built
     return _record(best)
-
-
-def labeled_max_edges_gamma2(
-    n: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> int:
-    """Maximum edge count over all labeled n-vertex graphs with domination
-    number >= 2, by exhaustive scan (n <= 7).  Results are identical for
-    any ``chunk_size``."""
-    _check_enumeration(n, chunk_size)
-    if n < 2:
-        raise ValueError("domination number >= 2 needs n >= 2")
-    best = -1
-    for masks, planes in edge_mask_blocks(n, chunk_size):
-        eligible = no_dominating_vertex(adjacency(n, planes), (1 << len(masks)) - 1)
-        if eligible:
-            best = max(best, maximum(lane_sum(planes), eligible)[0])
-        del masks, planes  # freed before the next block is built
-    if best < 0:
-        raise ValueError(f"no graph on {n} vertices has domination number >= 2")
-    return best
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def count_sets_naive(g: Graph, k: int, mode: Mode) -> int:
         raise ValueError(f"subset size must be nonnegative, got {k}")
     if k > g.n:
         return 0
-    neighbors = [set(g.neighbors(v)) for v in range(g.n)]
+    neighbors = [{u for u in range(g.n) if g.rows[v] >> u & 1} for v in range(g.n)]
     everything = set(range(g.n))
     count = 0
     for subset in combinations(range(g.n), k):

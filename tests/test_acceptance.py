@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from allocation_oracle import exhaustive_decomposition_oracle
+from labeled_oracle import enumerate_labeled_graphs, labeled_max_edges_gamma2
 from domcount import (
     InfeasibleOrderError,
     complete_graph,
@@ -18,9 +19,7 @@ from domcount import (
     count_sets,
     domination_number,
     efficiency_ratio,
-    enumerate_labeled_graphs,
     build_component_graph,
-    labeled_max_edges_gamma2,
     max_dominating_pairs,
     max_edges_gamma2,
     max_total_dominating_pairs,

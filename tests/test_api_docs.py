@@ -1,6 +1,10 @@
-"""The README's API table and ``domcount.__all__`` name only what exists."""
+"""The README's API table and ``domcount.__all__`` name only what exists,
+and the package exports no function that is neither documented nor
+called."""
 
+import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -8,7 +12,9 @@ import pytest
 
 import domcount
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "domcount"
 
 
 def key_function_rows() -> list[tuple[str, list[str]]]:
@@ -38,3 +44,32 @@ def test_readme_key_functions_exist(module, names):
 
 def test_all_names_resolve():
     assert [name for name in domcount.__all__ if not hasattr(domcount, name)] == []
+
+
+def _calls(node, enclosing=()):
+    """Names called under ``node``, except a function's calls to itself."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, enclosing + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name and name not in enclosing:
+                yield name
+        yield from _calls(child, enclosing)
+
+
+def test_every_exported_function_is_documented_or_called():
+    documented = {name for _, names in ROWS for name in names}
+    called = {
+        name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for name in _calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    functions = [
+        name for name in domcount.__all__
+        if inspect.isfunction(getattr(domcount, name))
+    ]
+    assert [n for n in functions if n not in documented | called] == []

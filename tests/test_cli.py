@@ -252,7 +252,7 @@ class TestOptimizeScanEfficiency:
         assert witness.n == 5
 
     def test_scan_corpus(self, capsys, tmp_path):
-        from domcount import enumerate_labeled_graphs
+        from labeled_oracle import enumerate_labeled_graphs
 
         path = tmp_path / "corpus.g6"
         path.write_text(

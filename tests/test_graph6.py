@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import edge_list_oracle
 import graph6_oracle as oracle
+from labeled_oracle import enumerate_labeled_graphs
 from domcount import (
     GraphParseError,
     SizeLimitError,
     build_component_graph,
     cocktail_party,
     complete_graph,
-    enumerate_labeled_graphs,
     from_edges,
     iter_graph6,
     new_graph,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_list_oracle
-from conftest import labeled_graphs
+from conftest import labeled_graphs, relabel
 from domcount import (
     GraphBuilder,
     InfeasibleOrderError,
@@ -21,6 +21,18 @@ def cycle(n):
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
+def degree_multiset(g):
+    return sorted(row.bit_count() for row in g.rows)
+
+
+def assert_symmetric(g):
+    """Bit u of rows[v] matches bit v of rows[u] (loops and range are
+    checked when the graph is built)."""
+    for v, row in enumerate(g.rows):
+        for u in range(g.n):
+            assert (row >> u & 1) == (g.rows[u] >> v & 1), (u, v)
+
+
 class TestConstruction:
     def test_new_graph_empty(self):
         g = new_graph(0)
@@ -33,7 +45,7 @@ class TestConstruction:
 
     def test_add_edge(self):
         g = GraphBuilder(2).add_edge(0, 1).build()
-        assert g.m == 1 and g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert g.m == 1 and g.rows == (0b10, 0b01)
 
     def test_add_edge_idempotent(self):
         b = GraphBuilder(3)
@@ -65,28 +77,6 @@ class TestConstruction:
     def test_complete_graph_rejects_zero(self):
         with pytest.raises(InfeasibleOrderError):
             complete_graph(0)
-
-
-class TestNeighborhoods:
-    def test_closed_neighborhood_triangle(self):
-        assert complete_graph(3).closed_neighborhood(0).vertices() == (0, 1, 2)
-
-    def test_closed_neighborhood_edgeless(self):
-        assert new_graph(3).closed_neighborhood(0).vertices() == (0,)
-
-    def test_closed_neighborhood_cycle(self):
-        assert cycle(4).closed_neighborhood(0).vertices() == (0, 1, 3)
-
-    def test_out_of_range_vertex(self):
-        with pytest.raises(InvalidEdgeError):
-            new_graph(2).closed_neighborhood(2)
-
-    @given(labeled_graphs(max_n=8))
-    def test_closed_neighborhood_contains_vertex(self, g):
-        for v in range(g.n):
-            closed = g.closed_neighborhood(v)
-            assert v in closed
-            assert closed.size == g.degree(v) + 1
 
 
 class TestEdges:
@@ -123,7 +113,7 @@ class TestDisjointUnion:
         left = disjoint_union(disjoint_union(a, b), c)
         right = disjoint_union(a, disjoint_union(b, c))
         assert left.n == right.n and left.m == right.m
-        assert left.degree_multiset() == right.degree_multiset()
+        assert degree_multiset(left) == degree_multiset(right)
         # the vertex offsets compose identically, so this is actual equality
         assert left.rows == right.rows
 
@@ -136,18 +126,18 @@ class TestInvariants:
         ).filter(lambda p: p[0] != p[1])
         edges = data.draw(st.lists(pairs, max_size=20))
         g = from_edges(n, edges)
-        g.check_invariants()
+        assert_symmetric(g)
         assert all(not g.rows[v] >> v & 1 for v in range(g.n))
         assert sum(row.bit_count() for row in g.rows) == 2 * g.m
 
     @given(labeled_graphs(max_n=8))
     def test_symmetry(self, g):
-        g.check_invariants()
+        assert_symmetric(g)
 
     def test_relabeled_preserves_shape(self):
         g = cycle(5)
-        h = g.relabeled([4, 3, 2, 1, 0])
-        assert h.m == g.m and h.degree_multiset() == g.degree_multiset()
+        h = relabel(g, [4, 3, 2, 1, 0])
+        assert h.m == g.m and degree_multiset(h) == degree_multiset(g)
 
 
 class TestVertexSet:

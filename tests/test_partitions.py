@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from allocation_oracle import dp_allocation, exhaustive_decomposition_oracle
 from domcount import (
+    MAX_VERTICES,
     InfeasibleOrderError,
     SizeLimitError,
     component_plan,
     max_dominating_pairs,
     optimize_allocation,
+    partitions,
 )
 
 
@@ -62,6 +64,20 @@ class TestOptimizeAllocation:
                 optimize_allocation(n, x).total_count
                 == exhaustive_decomposition_oracle(n, x)
             ), (n, x)
+
+    def test_infeasible_and_oversized_are_refused_before_planning(self, monkeypatch):
+        # the plan takes O(x) time and memory, so no refusal may build it
+        def no_plan(rest, pairs):
+            raise AssertionError(f"planned {pairs} pair components")
+
+        monkeypatch.setattr(partitions, "_pair_sizes", no_plan)
+        for n, x in [(MAX_VERTICES + 1, 2), (MAX_VERTICES + 1, 3), (10**11, 8_000_000)]:
+            with pytest.raises(SizeLimitError):
+                optimize_allocation(n, x)
+        # infeasibility is reported ahead of the vertex cap
+        for n, x in [(10**11, 0), (5000, 4000), (-1, 2)]:
+            with pytest.raises(InfeasibleOrderError):
+                optimize_allocation(n, x)
 
     def test_never_below_prescribed_plan(self):
         for n, x in feasible_pairs(60, 7):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labeled_oracle import enumerate_labeled_graphs, labeled_max_edges_gamma2
 from scan_oracle import oracle_extremal_scan
 
 from domcount import (
@@ -16,16 +17,15 @@ from domcount import (
     domination_number,
     efficiency_ratio,
     from_edges,
-    enumerate_labeled_graphs,
     extremal_scan,
     graph_from_edge_mask,
-    labeled_max_edges_gamma2,
     max_dominating_pairs,
     max_edges_gamma2,
     new_graph,
     parse_graph6,
     scan_labeled,
 )
+from domcount import scanning
 from domcount.pairscan import edge_mask_blocks, lane_sum, maximum, pair_order
 from domcount.scanning import DEFAULT_CHUNK_SIZE
 
@@ -117,12 +117,13 @@ class TestLaneSum:
 class TestExtremalScan:
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_stream_and_vectorized_paths_agree(self, n, mode):
+    def test_stream_and_vectorized_paths_agree(self, n, mode, monkeypatch):
         # extremal_scan writes every maximizer's record; scan_labeled writes
         # only the one with the smallest bit-reversed edge mask per block
         stream = extremal_scan(enumerate_labeled_graphs(n), mode)
         assert scan_labeled(n, mode) == stream
-        assert scan_labeled(n, mode, chunk_size=97) == stream
+        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", 97)
+        assert scan_labeled(n, mode) == stream
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -131,19 +132,21 @@ class TestExtremalScan:
         assert record.max_count == EXPECTED[mode][n]
         assert record.graphs_scanned == 1 << comb(n, 2)
 
-    def test_chunk_size_does_not_matter(self):
+    def test_chunk_size_does_not_matter(self, monkeypatch):
         baseline = scan_labeled(6, "total")
         for chunk in (97, 4096, 1 << 20):
-            assert scan_labeled(6, "total", chunk_size=chunk) == baseline
+            monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", chunk)
+            assert scan_labeled(6, "total") == baseline
 
     @pytest.mark.parametrize(
         "mode, record",
         [("dominating", (20, "FNz~o", 2097152)), ("total", (16, "FFz~o", 2097152))],
     )
-    def test_order_7_records(self, mode, record):
+    def test_order_7_records(self, mode, record, monkeypatch):
         # golden values, as the former numpy kernel computed them
         for chunk in (DEFAULT_CHUNK_SIZE, (1 << 18) + 3, 1 << 21):
-            result = scan_labeled(7, mode, chunk_size=chunk)
+            monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", chunk)
+            result = scan_labeled(7, mode)
             assert (result.max_count, result.witness, result.graphs_scanned) == record
 
     def test_witness_achieves_the_maximum(self):
@@ -280,9 +283,11 @@ class TestMaxEdges:
     def test_matches_closed_form(self, n):
         assert labeled_max_edges_gamma2(n) == max_edges_gamma2(n)
 
-    def test_chunk_size_does_not_matter(self):
-        assert labeled_max_edges_gamma2(5, chunk_size=13) == 7
-        assert labeled_max_edges_gamma2(7, chunk_size=(1 << 18) + 3) == 17
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", 13)
+        assert labeled_max_edges_gamma2(5) == 7
+        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", (1 << 18) + 3)
+        assert labeled_max_edges_gamma2(7) == 17
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
@@ -297,8 +302,8 @@ LABELED_ENTRY_POINTS = {
 
 
 class TestEnumerationGuard:
-    """The labeled-enumeration entry points refuse the same inputs with the
-    same errors."""
+    """``scan_labeled`` and the labeled-enumeration oracles refuse the same
+    inputs with the same errors."""
 
     @pytest.mark.parametrize("entry", sorted(LABELED_ENTRY_POINTS))
     def test_order_8_is_refused_with_the_corpus_hint(self, entry):
@@ -315,16 +320,6 @@ class TestEnumerationGuard:
             InfeasibleOrderError, match="^vertex count must be nonnegative$"
         ):
             LABELED_ENTRY_POINTS[entry](-1)
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    @pytest.mark.parametrize(
-        "scan",
-        [lambda n, c: scan_labeled(n, "dominating", c), labeled_max_edges_gamma2],
-        ids=["scan_labeled", "labeled_max_edges_gamma2"],
-    )
-    def test_chunk_size_must_be_positive(self, scan, chunk_size):
-        with pytest.raises(ValueError, match="^chunk_size must be positive$"):
-            scan(5, chunk_size)
 
 
 class TestEfficiencyRatio:
