@@ -1,7 +1,8 @@
 """Command-line interface: every capability behind one JSON-reporting tool.
 
 Reports are printed to stdout as a single JSON document with keys in a fixed
-order; integer values larger than 2**53 are rendered as decimal strings so
+order (each handler builds its dict in that order, and ``elapsed_ms`` comes
+last); integer values larger than 2**53 are rendered as decimal strings so
 consumers using binary floating point cannot lose digits.  Diagnostics go to
 stderr as one line.  Exit codes: 0 success, 1 usage error, 2 parse error
 (including non-ASCII input and an empty corpus), 3 infeasible parameters,
@@ -20,7 +21,7 @@ from itertools import chain
 from typing import Any
 
 from .constructions import PartitionPlan, build_component_graph, component_plan
-from .constructions import max_dominating_pairs, max_total_dominating_pairs
+from .constructions import max_total_dominating_pairs
 from .domination import (
     check_countable,
     count_minimum,
@@ -40,24 +41,6 @@ from .graph6 import write_edge_list, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import efficiency_ratio, scan_corpus, scan_labeled
-
-_KEY_ORDER = (
-    "n",
-    "m",
-    "mode",
-    "gamma",
-    "count",
-    "witnesses",
-    "plan",
-    "predicted",
-    "prescribed_plan",
-    "graph6",
-    "witness",
-    "graphs_scanned",
-    "ratio",
-    "asymptote",
-    "elapsed_ms",
-)
 
 _JSON_SAFE_MAX = 2**53
 
@@ -173,13 +156,8 @@ def _cmd_formula(args: argparse.Namespace) -> dict[str, Any]:
                 "total-domination closed forms exist only for gamma = 2"
             )
         count = max_total_dominating_pairs(n)
-    elif x == 1:
-        if n < 1:
-            raise InfeasibleOrderError("gamma = 1 needs n >= 1")
-        count = n
-    elif x == 2:
-        count = max_dominating_pairs(n)
     else:
+        # gamma <= 2 gives one K_n or one pair component: the closed forms
         count = component_plan(n, x).total_count
     return {"n": n, "mode": mode, "gamma": x, "count": _num(count)}
 
@@ -223,10 +201,10 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
         "mode": record.mode,
         "gamma": record.target_gamma,
         "count": _num(record.max_count),
-        "graphs_scanned": _num(record.graphs_scanned),
     }
     if record.witness is not None:
         report["witness"] = record.witness
+    report["graphs_scanned"] = _num(record.graphs_scanned)
     return report
 
 
@@ -265,6 +243,11 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
                      help="accept nonzero graph6 padding bits with a warning")
 
 
+def _add_order_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--gamma", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="domcount",
                      description="Exact domination-set counting and "
@@ -288,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("construct",
                               help="build the union construction for (n, gamma)")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--gamma", type=int, required=True)
+    _add_order_options(sub)
     sub.add_argument("--out", metavar="FILE",
                      help="write the graph here instead of inlining graph6")
     sub.add_argument("--format", choices=("g6", "edges"), default="g6",
@@ -299,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("formula",
                               help="closed-form maximum counts (gamma <= 2) or "
                                    "the construction's product count (gamma >= 3)")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--gamma", type=int, required=True)
+    _add_order_options(sub)
     sub.add_argument("--total", action="store_true")
     sub.set_defaults(handler=_cmd_formula)
 
     sub = commands.add_parser("optimize",
                               help="exact-optimal component allocation vs the "
                                    "prescribed one")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--gamma", type=int, required=True)
+    _add_order_options(sub)
     sub.set_defaults(handler=_cmd_optimize)
 
     sub = commands.add_parser("scan",
@@ -324,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("efficiency",
                               help="exact dominating fraction of x-subsets and "
                                    "its fixed-x limit")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--gamma", type=int, required=True)
+    _add_order_options(sub)
     sub.set_defaults(handler=_cmd_efficiency)
 
     return parser
@@ -353,8 +332,7 @@ def run_cli(argv: list[str]) -> int:
         print(f"domcount: {exc}", file=sys.stderr)
         return 1
     report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    ordered = {key: report[key] for key in _KEY_ORDER if key in report}
-    print(json.dumps(ordered, indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 

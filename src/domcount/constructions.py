@@ -207,16 +207,10 @@ def component_plan(n: int, x: int) -> PartitionPlan:
 def graph_from_plan(plan: PartitionPlan) -> Graph:
     """Materialize a plan as the disjoint union of its components, in plan
     order (vertices of later components are offset by earlier sizes)."""
-    graph: Graph | None = None
-    for component in plan.components:
-        if component.kind == KIND_COMPLETE:
-            piece = complete_graph(component.size)
-        else:
-            piece = pair_extremal_graph(component.size)
-        graph = piece if graph is None else disjoint_union(graph, piece)
-    if graph is None:
+    if not plan.components:
         raise InfeasibleOrderError("plan has no components")
-    return graph
+    build = {KIND_COMPLETE: complete_graph, KIND_PAIR: pair_extremal_graph}
+    return disjoint_union(*[build[c.kind](c.size) for c in plan.components])
 
 
 def build_component_graph(n: int, x: int) -> tuple[Graph, PartitionPlan]:
@@ -226,5 +220,7 @@ def build_component_graph(n: int, x: int) -> tuple[Graph, PartitionPlan]:
     dominating x-sets.  The construction is intentionally disconnected for
     x >= 3; adding connector edges would change the counts.
     """
+    require_feasible(n, x)
+    check_order(n)  # before the plan, which takes O(x) time and memory
     plan = component_plan(n, x)
     return graph_from_plan(plan), plan

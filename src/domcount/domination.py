@@ -34,7 +34,7 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, select_bits
 
 Mode = Literal["dominating", "total"]
 
@@ -70,13 +70,9 @@ def _covers(g: Graph, s: VertexSet, mode: Mode) -> bool:
     every vertex of g."""
     if s.n != g.n:
         raise ValueError(f"vertex set is over n={s.n}, graph has n={g.n}")
-    closed = mode == "dominating"
     covered = 0
-    mask = s.mask
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        covered |= g.rows[v] | closed << v
-        mask &= mask - 1
+    for row in select_bits(s.mask, _cover_rows(g, mode)):
+        covered |= row
     return covered == (1 << g.n) - 1
 
 
@@ -254,12 +250,7 @@ def _component_minima(
 def _lex_key(mask: int) -> tuple[int, ...]:
     """Sorted vertices of ``mask``; on sets of one size, tuple order is the
     walk's lexicographic order."""
-    vertices = []
-    while mask:
-        low = mask & -mask
-        vertices.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(vertices)
+    return tuple(select_bits(mask, range(mask.bit_length())))
 
 
 def _first_unions(pairs: list[tuple[list[int], list[int]]], cap: int) -> list[int]:

@@ -63,7 +63,7 @@ class VertexSet:
         return self.mask.bit_count()
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        return tuple(select_bits(self.mask, range(self.n)))
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
@@ -157,8 +157,13 @@ def complete_graph(r: int) -> Graph:
     return Graph(r, tuple(full ^ (1 << v) for v in range(r)))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; vertices of h are relabeled by offset g.n."""
-    check_order(g.n + h.n)
-    rows = g.rows + tuple(row << g.n for row in h.rows)
-    return Graph(g.n + h.n, rows)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union in argument order; the vertices of each graph are
+    offset by the orders of the graphs before it."""
+    n = sum(g.n for g in graphs)
+    check_order(n)
+    rows: list[int] = []
+    for g in graphs:
+        offset = len(rows)
+        rows.extend([row << offset for row in g.rows])
+    return Graph(n, tuple(rows))

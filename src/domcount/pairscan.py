@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 from .domination import COUNT_VERTEX_CAP, check_countable
 from .errors import MixedOrderError
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph
+from .graphs import Graph, select_bits
 
 # Graphs (or corpus lines) per kernel call outside the labeled enumeration.
 # Measured on 25 000 order-8 records (2-vCPU x86, best of 7): 1024-line
@@ -128,14 +128,6 @@ def maximum(digits: list[int], lanes: int) -> tuple[int, int]:
         if hit:
             lanes, top = hit, top | 1 << k
     return top, lanes
-
-
-def lanes_of(mask: int) -> Iterator[int]:
-    """The set lanes of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def smallest_reversed(lanes: int, planes: list[int]) -> int:
@@ -343,9 +335,7 @@ class PairMaximum:
         self.add_planes(
             planes,
             (1 << len(graphs)) - 1,
-            lambda maximizers: min(
-                write_graph6(graphs[g]) for g in lanes_of(maximizers)
-            ),
+            lambda maximizers: min(map(write_graph6, select_bits(maximizers, graphs))),
         )
 
     def add_lines(self, block: list[str], strict: bool) -> None:
@@ -377,7 +367,8 @@ class PairMaximum:
             [_plane(body[k // 6], _SEXTET[k % 6]) for k in range(comb(self.n, 2))],
             ok,
             lambda maximizers: min(
-                data[r * stride : (r + 1) * stride - 1] for r in lanes_of(maximizers)
+                data[r * stride : (r + 1) * stride - 1]
+                for r in select_bits(maximizers, range(len(at)))
             ).decode("ascii"),
         )
 

@@ -1,0 +1,172 @@
+"""Compare the CLI of two source trees, invocation by invocation.
+
+    python tests/cli_parity.py OLD_SRC NEW_SRC [--seed N] [--work DIR]
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts (each holds
+the ``domcount`` package).  Each tree runs the same invocation list through
+``domcount.cli.run_cli`` in an interpreter of its own, in a work directory of
+its own that starts with the same input files.  Every invocation whose
+stdout (the value of ``elapsed_ms`` aside), stderr, exit code or ``--out``
+file differs is printed, then a summary line; the exit code is 1 if any
+differs.
+
+The invocations:
+
+* ``scan --n -1..8`` in both modes;
+* every job of the four ``perfbench`` workloads at ``--seed``, in job order,
+  on inputs the workloads write for that seed;
+* ``formula`` in both modes, ``optimize``, ``efficiency`` and ``construct``
+  (inline, ``--out`` graph6, ``--out`` edge list) for n = -1..40 and
+  gamma = -1..12;
+* ``construct --n 4096 --gamma 2048``, and ``--n 100000000000 --gamma
+  1000000`` past the vertex cap;
+* ``--help`` of the tool and of every subcommand.
+
+Each invocation runs inside ``warnings.catch_warnings()``, so a warning is
+shown once per invocation and location, as in a process of its own.  Help
+text is formatted for 80 columns.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import hashlib
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ("gamma", "count", "construct", "formula", "optimize", "scan", "efficiency")
+ELAPSED = re.compile(r'"elapsed_ms": \d+')
+
+
+def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
+    """(working directory relative to ``work``, argv) pairs; writes the
+    perfbench inputs under ``work/perfbench``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    own = "own"
+    (work / own).mkdir(parents=True)
+    runs = [(own, ["scan", "--n", str(n)] + total)
+            for n in range(-1, 9) for total in ([], ["--total"])]
+    for name, make_jobs in workloads.WORKLOADS.items():
+        where = work / "perfbench" / name
+        where.mkdir(parents=True)
+        runs += [(f"perfbench/{name}", job.argv) for job in make_jobs(where, seed)]
+    for n in range(-1, 41):
+        for x in range(-1, 13):
+            order = ["--n", str(n), "--gamma", str(x)]
+            runs += [
+                (own, ["formula"] + order),
+                (own, ["formula"] + order + ["--total"]),
+                (own, ["optimize"] + order),
+                (own, ["efficiency"] + order),
+                (own, ["construct"] + order),
+                (own, ["construct"] + order + ["--out", f"c{n}_{x}.g6"]),
+                (own, ["construct"] + order + ["--format", "edges",
+                                               "--out", f"c{n}_{x}.edges"]),
+            ]
+    runs.append((own, ["construct", "--n", "4096", "--gamma", "2048"]))
+    runs.append((own, ["construct", "--n", "100000000000", "--gamma", "1000000"]))
+    runs.append((own, ["--help"]))
+    runs += [(own, [command, "--help"]) for command in SUBCOMMANDS]
+    return runs
+
+
+def run_worker(src: str, work: str, plan: str, out: str) -> None:
+    """Run every invocation of ``plan`` with the package under ``src``; write
+    one result per invocation to ``out``."""
+    import warnings
+
+    sys.path.insert(0, src)
+    from domcount.cli import run_cli
+
+    os.environ["COLUMNS"] = "80"
+    results = []
+    for where, argv in json.loads(Path(plan).read_text()):
+        os.chdir(Path(work, where))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = run_cli(argv)
+            except Exception as exc:  # a traceback in a process of its own
+                code = 1
+                stderr.write(f"uncaught {type(exc).__name__}: {exc}\n")
+        written = None
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            if path.exists():
+                written = hashlib.sha256(path.read_bytes()).hexdigest()
+        results.append({
+            "code": code,
+            "stdout": ELAPSED.sub('"elapsed_ms": _', stdout.getvalue()),
+            "stderr": stderr.getvalue(),
+            "written": written,
+        })
+    Path(out).write_text(json.dumps(results))
+
+
+def describe(old: dict, new: dict) -> list[str]:
+    """The differing fields of two results, one line each (a short diff for
+    stdout)."""
+    lines = []
+    for field in ("code", "stderr", "written"):
+        if old[field] != new[field]:
+            lines.append(f"  {field}: {old[field]!r} -> {new[field]!r}")
+    if old["stdout"] != new["stdout"]:
+        diff = difflib.unified_diff(
+            old["stdout"].splitlines(), new["stdout"].splitlines(), lineterm="", n=1
+        )
+        lines += [f"  stdout {line[:100]}" for line in list(diff)[2:14]]
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench seed (default: 1)")
+    parser.add_argument("--work", help="empty or missing directory for the inputs "
+                                       "and outputs (default: a new temporary one)")
+    args = parser.parse_args()
+    work = Path(args.work or tempfile.mkdtemp(prefix="cli_parity-")).resolve()
+    inputs = work / "inputs"
+    runs = invocations(inputs, args.seed)
+    plan = work / "plan.json"
+    plan.write_text(json.dumps(runs))
+    workers = []
+    for side, src in (("old", args.old_src), ("new", args.new_src)):
+        shutil.copytree(inputs, work / side)
+        workers.append(subprocess.Popen([
+            sys.executable, __file__, "--worker", str(Path(src).resolve()),
+            str(work / side), str(plan), str(work / f"{side}.json"),
+        ]))
+    if any(worker.wait() for worker in workers):
+        print("cli_parity: a worker failed", file=sys.stderr)
+        return 2
+    old, new = (json.loads((work / f"{side}.json").read_text()) for side in ("old", "new"))
+    differing = 0
+    for (where, argv), a, b in zip(runs, old, new):
+        lines = describe(a, b)
+        if lines:
+            differing += 1
+            print(f"DIFF ({where}) {' '.join(argv)}")
+            print("\n".join(lines))
+    print(f"{len(runs)} invocations, {differing} differ (work directory {work})")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        run_worker(*sys.argv[2:])
+    else:
+        sys.exit(main())

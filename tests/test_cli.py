@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,17 @@ class TestFormula:
     def test_total_gamma3_rejected(self, capsys):
         code, _, _ = run(capsys, "formula", "--n", "12", "--gamma", "3", "--total")
         assert code == 3
+
+    @pytest.mark.parametrize("n, x, line", [
+        ("0", "1", "no construction with domination number 1 on 0 vertices "
+                   "(needs n >= 1)"),
+        ("3", "2", "no construction with domination number 2 on 3 vertices "
+                   "(needs n >= 4)"),
+    ])
+    def test_small_gamma_infeasible_messages(self, capsys, n, x, line):
+        code, report, err = run(capsys, "formula", "--n", n, "--gamma", x)
+        assert code == 3 and report is None
+        assert err == f"domcount: infeasible: {line}\n"
 
 
 class TestGammaAndCount:
@@ -220,6 +232,15 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "--n", "6", "--gamma", "4")
         assert code == 3
 
+    def test_past_the_cap_names_n(self, capsys):
+        code, report, err = run(
+            capsys, "construct", "--n", "100000000000", "--gamma", "1000000"
+        )
+        assert code == 4 and report is None
+        assert err == (
+            "domcount: size limit: vertex count 100000000000 exceeds cap 4096\n"
+        )
+
 
 class TestOptimizeScanEfficiency:
     def test_optimize(self, capsys):
@@ -321,6 +342,35 @@ class TestCliContract:
         assert list(report) == [
             "n", "mode", "gamma", "count", "witness", "graphs_scanned", "elapsed_ms",
         ]
+
+    def test_keys_follow_the_readme_schema(self, capsys, g6_file, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme.split("### Report schema", 1)[1].split("\n* ", 1)[0]
+        order = re.findall(r"`(\w+)`", schema)
+        assert order[0] == "n" and order[-1] == "elapsed_ms"
+        path = g6_file(cocktail_party(6))
+        order_args = ["--n", "9", "--gamma", "3"]
+        invocations = [
+            ["gamma", "--in", path],
+            ["count", "--in", path],
+            ["count", "--in", path, "--witness-cap", "2"],
+            ["construct"] + order_args,
+            ["construct"] + order_args + ["--out", str(tmp_path / "g.g6")],
+            ["formula"] + order_args,
+            ["optimize"] + order_args,
+            ["efficiency"] + order_args,
+            ["scan", "--n", "5"],
+            ["scan", "--n", "1"],
+        ]
+        reports = {}
+        for argv in invocations:
+            code, report, _ = run(capsys, *argv)
+            assert code == 0, argv
+            remaining = iter(order)
+            assert all(key in remaining for key in report), (argv, list(report))
+            reports[" ".join(argv)] = report
+        assert "witness" in reports["scan --n 5"]
+        assert "witness" not in reports["scan --n 1"]
 
     def test_big_counts_serialized_as_strings(self, capsys):
         # C(15000, 2)^2 exceeds 2^53, so the count must arrive as a string

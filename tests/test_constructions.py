@@ -4,13 +4,16 @@ from hypothesis import given, settings, strategies as st
 from domcount import (
     MAX_VERTICES,
     Component,
+    Graph,
     GraphBuilder,
     InfeasibleOrderError,
     PartitionPlan,
+    SizeLimitError,
     build_component_graph,
     cocktail_party,
     complete_multipartite,
     component_plan,
+    constructions,
     count_minimum,
     count_sets,
     domination_number,
@@ -217,6 +220,13 @@ class TestComponentPlan:
         assert graph.rows == pair_extremal_graph(7).rows
         assert plan.total_count == 20
 
+    def test_gamma_at_most_two_counts_are_the_closed_forms(self):
+        # `formula` reads these plan counts for gamma 1 and 2
+        for n in range(1, 201):
+            assert component_plan(n, 1).total_count == n
+        for n in range(4, 201):
+            assert component_plan(n, 2).total_count == max_dominating_pairs(n)
+
 
 class TestBuiltGraphs:
     @pytest.mark.parametrize("x", [3, 4, 5])
@@ -234,6 +244,32 @@ class TestBuiltGraphs:
         graph = graph_from_plan(plan)
         assert graph.n == 11
         assert domination_number(graph) == 5
+
+    def test_infeasible_and_oversized_are_refused_before_planning(self, monkeypatch):
+        # the plan takes O(x) time and memory, so no refusal may build it
+        def no_plan(total, parts):
+            raise AssertionError(f"planned {parts} pair components")
+
+        monkeypatch.setattr(constructions, "balanced_split", no_plan)
+        for n, x in [(MAX_VERTICES + 1, 2), (MAX_VERTICES + 1, 3), (10**11, 1_000_000)]:
+            with pytest.raises(SizeLimitError, match=f"vertex count {n} exceeds"):
+                build_component_graph(n, x)
+        # infeasibility is reported ahead of the vertex cap
+        for n, x in [(10**11, 0), (5000, 4000), (-1, 2)]:
+            with pytest.raises(InfeasibleOrderError):
+                build_component_graph(n, x)
+
+    def test_one_union_of_the_pieces(self, monkeypatch):
+        made = []
+        post_init = Graph.__post_init__
+
+        def counted(graph):
+            made.append(graph.n)
+            post_init(graph)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        graph = graph_from_plan(component_plan(4096, 2048))
+        assert made == [4] * 1024 + [4096] and graph.n == 4096
 
 
 class TestPredictedCount:

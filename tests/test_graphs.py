@@ -1,9 +1,12 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_list_oracle
 from conftest import labeled_graphs, relabel
 from domcount import (
+    MAX_VERTICES,
     GraphBuilder,
     InfeasibleOrderError,
     InvalidEdgeError,
@@ -116,6 +119,19 @@ class TestDisjointUnion:
         assert degree_multiset(left) == degree_multiset(right)
         # the vertex offsets compose identically, so this is actual equality
         assert left.rows == right.rows
+
+    @given(st.lists(labeled_graphs(max_n=5), max_size=5))
+    def test_variadic_matches_the_pairwise_fold(self, graphs):
+        fold = reduce(lambda g, h: disjoint_union(g, h), graphs, new_graph(0))
+        assert disjoint_union(*graphs) == fold
+
+    def test_no_graphs_is_the_empty_graph(self):
+        assert disjoint_union() == new_graph(0)
+
+    def test_summed_order_past_the_cap(self):
+        half = new_graph(MAX_VERTICES // 2)
+        with pytest.raises(SizeLimitError, match=f"vertex count {MAX_VERTICES + 1} "):
+            disjoint_union(half, half, new_graph(1))
 
 
 class TestInvariants:
