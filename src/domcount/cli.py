@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import io
 import json
 import sys
 import time
@@ -71,9 +72,9 @@ def _mode(args: argparse.Namespace) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as handle:
+    # stdin's bytes are decoded as a file's are: ASCII, universal newlines
+    data = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
+    with io.TextIOWrapper(data, encoding="ascii") as handle:
         return handle.read()
 
 

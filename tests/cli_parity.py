@@ -20,7 +20,10 @@ The invocations:
   gamma = -1..12;
 * ``construct --n 4096 --gamma 2048``, and ``--n 100000000000 --gamma
   1000000`` past the vertex cap;
-* ``--help`` of the tool and of every subcommand.
+* ``--help`` of the tool and of every subcommand;
+* ``scan --corpus`` over small malformed or non-canonical corpora, in both
+  modes, with and without ``--lenient``, and without ``--n``, with the
+  first record's order and with another.
 
 Each invocation runs inside ``warnings.catch_warnings()``, so a warning is
 shown once per invocation and location, as in a process of its own.  Help
@@ -35,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -79,7 +83,54 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
     runs.append((own, ["construct", "--n", "100000000000", "--gamma", "1000000"]))
     runs.append((own, ["--help"]))
     runs += [(own, [command, "--help"]) for command in SUBCOMMANDS]
+    corpora = work / own / "corpora"
+    corpora.mkdir()
+    for name, (order, data) in edge_corpora(random.Random(seed)).items():
+        (corpora / name).write_bytes(data)
+        for n in ([], ["--n", str(order)], ["--n", str(order + 1)]):
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, ["scan", "--corpus", f"corpora/{name}", *n, *flags]))
     return runs
+
+
+def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
+    """Corpora that take the scan's less common paths, by file name: the
+    order of the first record, and the bytes."""
+    import oracle  # the perfbench oracle, on the path once workloads is imported
+
+    def records(n: int, count: int) -> list[bytes]:
+        return [
+            oracle.encode_graph6(
+                n, {pair for pair in oracle.pairs(n) if rng.random() < 0.7}
+            ).encode()
+            for _ in range(count)
+        ]
+
+    def lines(records: list[bytes], end: bytes = b"\n") -> bytes:
+        return b"".join(record + end for record in records)
+
+    g8, g9 = records(8, 30), records(9, 30)
+    header = b">>graph6<<"
+    padded = g8[4][:-1] + bytes([(g8[4][-1] - 63 | 1) + 63])
+    complete65 = oracle.encode_graph6(65, set(oracle.pairs(65))).encode()
+    empty65 = oracle.encode_graph6(65, set()).encode()
+    return {
+        "header.g6": (8, lines([header + g8[0], *g8[1:5], header + g8[5]])),
+        "header_line.g6": (8, lines([header, *g8[:5]])),
+        "long_size.g6": (8, lines([*g8[:3], b"~??G" + g8[3][1:], *g8[4:10]])),
+        "long_size_first.g6": (8, lines([b"~??G" + g8[0][1:], *g8[1:10]])),
+        "blank_head.g6": (9, b"\n" * 1100 + b"  \n" * 3 + lines(g9)),
+        "crlf.g6": (8, lines(g8, b"\r\n")),
+        "padding.g6": (8, lines([*g8[:4], padded, *g8[5:]])),
+        "padding_first.g6": (8, lines([padded, *g8[5:]])),
+        "mixed.g6": (8, lines([*g8[:10], g9[0], *g8[10:]])),
+        "mixed_blocks.g6": (9, lines(g9 * 40 + g8[:1])),
+        "truncated.g6": (9, lines([*g9[:6], g9[6][:-1], *g9[7:]])),
+        "non_ascii.g6": (8, lines(g8[:8]) + b"caf\xc3\xa9\n" + lines(g8[8:])),
+        "order65.g6": (65, lines([complete65, empty65, complete65])),
+        "order65_no_candidate.g6": (65, lines([complete65, complete65])),
+        "blank.g6": (8, b"\n  \n" * 600),
+    }
 
 
 def run_worker(src: str, work: str, plan: str, out: str) -> None:
@@ -109,7 +160,7 @@ def run_worker(src: str, work: str, plan: str, out: str) -> None:
         results.append({
             "code": code,
             "stdout": ELAPSED.sub('"elapsed_ms": _', stdout.getvalue()),
-            "stderr": stderr.getvalue(),
+            "stderr": stderr.getvalue().replace(src, "SRC"),  # warnings name files
             "written": written,
         })
     Path(out).write_text(json.dumps(results))

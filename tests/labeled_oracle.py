@@ -21,7 +21,7 @@ from domcount import (
     graph_from_edge_mask,
     scanning,
 )
-from domcount.pairscan import (
+from domcount.scanning import (
     adjacency,
     edge_mask_blocks,
     lane_sum,

@@ -42,6 +42,18 @@ def test_readme_key_functions_exist(module, names):
     assert [name for name in names if not hasattr(loaded, name)] == []
 
 
+def test_readme_module_references_import():
+    """Every `domcount.<module>` the README names can be imported."""
+    named = set(re.findall(r"`(domcount\.\w+)`", README.read_text(encoding="utf-8")))
+    missing = []
+    for module in sorted(named):
+        try:
+            importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+    assert named and missing == []
+
+
 def test_all_names_resolve():
     assert [name for name in domcount.__all__ if not hasattr(domcount, name)] == []
 

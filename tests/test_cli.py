@@ -125,7 +125,9 @@ class TestGammaAndCount:
     def test_count_edges_format_stdin(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("4\n0 1\n1 2\n2 3\n0 3\n"))
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(b"4\n0 1\n1 2\n2 3\n0 3\n"))
+        )
         code, report, _ = run(capsys, "count", "--in", "-", "--format", "edges")
         assert code == 0 and report["count"] == 6
 
@@ -173,6 +175,51 @@ class TestGammaAndCount:
         path.write_bytes("C\u00e9~\n".encode("utf-8"))
         code, report, err = run(capsys, "count", "--in", str(path))
         assert code == 2 and report is None and "parse error" in err
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            (b"3\n\xd9\xa0 \xd9\xa1\n", ["gamma", "--format", "edges"]),
+            (b"3\n0 1 # caf\xc3\xa9\n", ["gamma", "--format", "edges"]),
+            (b"C\xc3\xa9~\n", ["count"]),
+        ],
+        ids=["digits", "comment", "graph6"],
+    )
+    def test_non_ascii_stdin_is_refused_as_from_a_file(self, tmp_path, data, argv):
+        """Arabic-Indic digits on stdin once read as vertices 0 and 1."""
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        from_file, from_stdin = (
+            run_process(tmp_path, [*argv, "--in", source], data)
+            for source in (str(path), "-")
+        )
+        assert from_stdin.returncode == from_file.returncode == 2
+        assert from_stdin.stdout == from_file.stdout == b""
+        assert from_stdin.stderr == from_file.stderr
+        assert b"'ascii' codec can't decode" in from_stdin.stderr
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            (b"# square\r\n4\r\n0 1\r\n1 2\r\n2 3\r\n0 3\r\n",
+             ["count", "--format", "edges"]),
+            (b"\r\nC]\r\n", ["count"]),
+            (b"C]\rC~\r", ["gamma", "--total"]),
+        ],
+        ids=["edges", "graph6", "graph6-cr"],
+    )
+    def test_crlf_stdin_reads_as_from_a_file(self, tmp_path, data, argv):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        from_file, from_stdin = (
+            run_process(tmp_path, [*argv, "--in", source], data)
+            for source in (str(path), "-")
+        )
+        assert from_stdin.returncode == from_file.returncode == 0, from_stdin.stderr
+        assert from_stdin.stderr == from_file.stderr == b""
+        assert without_timing(json.loads(from_stdin.stdout)) == without_timing(
+            json.loads(from_file.stdout)
+        )
 
     @pytest.mark.parametrize("flag, value", [("--witness-cap", "-3"), ("--size", "-1")])
     def test_negative_count_options_are_usage_errors(
@@ -431,6 +478,18 @@ NUMPY_FREE_REPORTS = {
 }
 
 
+def run_process(cwd, argv, stdin):
+    """``python -m domcount ARGV`` in a process of its own, with ``stdin``
+    (bytes) as its standard input."""
+    import domcount
+
+    return subprocess.run(
+        [sys.executable, "-m", "domcount", *argv],
+        input=stdin, capture_output=True, cwd=cwd, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+    )
+
+
 def run_script(script, tmp_path):
     import domcount
 
@@ -465,7 +524,7 @@ for argv in (
     ["scan", "--corpus", CORPUS],
     ["scan", "--corpus", CORPUS, "--total"],
 ):
-    sys.stdin = io.StringIO("C~\\n")
+    sys.stdin = io.TextIOWrapper(io.BytesIO(b"C~\\n"))
     assert run_cli(argv) == 0, argv
 assert "numpy" not in sys.modules
 """

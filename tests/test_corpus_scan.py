@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domcount import complete_graph, from_edges, new_graph, write_graph6
 from domcount.cli import run_cli
-from domcount.pairscan import SCAN_BLOCK
+from domcount.scanning import SCAN_BLOCK
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -169,6 +169,25 @@ class TestAgainstOracle:
         assert_matches_oracle(path)
         _, _, err, _ = cli_outcome(["scan", "--corpus", str(path)])
         assert ("ascii" in err) == (gap * len(lines[0]) < 8192)
+
+    @pytest.mark.parametrize("kind", ["canonical", "header"])
+    def test_first_record_after_the_first_block(self, tmp_path, kind):
+        # the stream's order is read from a record past the first block
+        rng = random.Random(53)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(50)]
+        if kind == "header":
+            lines[0] = mutate(lines[0], kind, 8, rng)
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"\n" * (SCAN_BLOCK + 5) + b"\n".join(lines) + b"\n")
+        assert_matches_oracle(path)
+
+    def test_blank_corpus_past_one_block(self, tmp_path):
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"\n  \n" * SCAN_BLOCK)
+        code, report, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        assert code == 2 and report is None
+        assert err == "domcount: parse error: no graph6 record found in corpus\n"
+        assert_matches_oracle(path)
 
     def test_many_records_same_witness(self, tmp_path):
         rng = random.Random(211)

@@ -26,7 +26,7 @@ from domcount import (
     scan_labeled,
 )
 from domcount import scanning
-from domcount.pairscan import edge_mask_blocks, lane_sum, maximum, pair_order
+from domcount.scanning import edge_mask_blocks, lane_sum, maximum, pair_order
 from domcount.scanning import DEFAULT_CHUNK_SIZE
 
 EXPECTED = {
@@ -276,6 +276,17 @@ class TestPairKernelAgainstOracle:
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode must be"):
             extremal_scan([complete_graph(3)], "connected")
+
+    @pytest.mark.parametrize(
+        "scan, source",
+        [(scanning.scan_labeled, 8), (scanning.scan_labeled, -1),
+         (extremal_scan, []), (scanning.scan_corpus, []),
+         (scanning.scan_corpus, ["\n", "Gabc\n"])],
+        ids=["order-8", "order-minus-1", "no-graphs", "no-lines", "bad-record"],
+    )
+    def test_mode_is_checked_before_the_input(self, scan, source):
+        with pytest.raises(ValueError, match="mode must be"):
+            scan(source, "connected")
 
 
 class TestMaxEdges:
