@@ -364,8 +364,7 @@ def _count_covers(
     rows = _cover_rows(g, mode)
     if k > g.n or 0 in rows:  # a vertex nothing covers: isolated, total mode
         return 0, []
-    # one vertex covers no two components, so k = 1 needs no split
-    components = [(1 << g.n) - 1] if k == 1 else _components(g)
+    components = _components(g)
     if len(components) == 1:
         return _walk(rows, components[0], k, witness_cap)
     minima = _component_minima(rows, components, k, witness_cap)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .constructions import component_plan
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
@@ -145,8 +145,8 @@ def maximum(digits: list[int], lanes: int) -> tuple[int, int]:
 
 def smallest_reversed(lanes: int, planes: list[int]) -> int:
     """The lane of the nonzero set ``lanes`` whose bits over ``planes``,
-    read from plane 0 up, are smallest; the lanes must differ on some
-    plane."""
+    read from plane 0 up, are smallest.  Of lanes tied on every plane, the
+    highest is returned; they hold the same graph, so any would do."""
     for plane in planes:
         rest = lanes & ~plane
         if rest:
@@ -304,13 +304,12 @@ class PairMaximum:
             self._checks[-1] = (size - 1, _bad_table(good))
         self._checks.append((size, _NEWLINE))
 
-    def add_planes(
-        self, planes: list[int], lanes: int, witness_of: Callable[[int], str]
-    ) -> None:
+    def add_planes(self, planes: list[int], lanes: int) -> None:
         """Fold in a block of graphs given as edge planes, with ``lanes``
-        the lanes that hold a graph; ``witness_of(maximizers)`` is the
-        byte-smallest canonical graph6 record among the graphs at the lanes
-        ``maximizers``, asked for only for the block's maximizers."""
+        the lanes that hold a graph.  graph6 body bits follow
+        ``pair_order``, most significant first, so among records of one
+        order the byte-smallest has the smallest bit-reversed edge mask:
+        only that maximizer's record is written, from its planes."""
         self.scanned += lanes.bit_count()
         digits, competes = pair_counts(self.n, planes, lanes, self.mode)
         if not competes:
@@ -318,7 +317,9 @@ class PairMaximum:
         top, maximizers = maximum(digits, competes)
         if top < self.count:
             return
-        witness = witness_of(maximizers)
+        lane = smallest_reversed(maximizers, planes)
+        mask = sum((plane >> lane & 1) << k for k, plane in enumerate(planes))
+        witness = write_graph6(graph_from_edge_mask(self.n, mask))
         if top > self.count or witness < self.witness:
             self.count, self.witness = top, witness
 
@@ -358,19 +359,16 @@ class PairMaximum:
             _plane(columns[i][width - 1 - j // 8 :: width], _BIT[j % 8])
             for i, j in pair_order(self.n)
         ]
-        self.add_planes(
-            planes,
-            (1 << len(graphs)) - 1,
-            lambda maximizers: min(map(write_graph6, select_bits(maximizers, graphs))),
-        )
+        self.add_planes(planes, (1 << len(graphs)) - 1)
 
     def add_lines(self, block: list[str], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
 
         Lines that are canonical records of order n -- the empty graph's
         size field and length, every byte in [63, 126], zero padding bits,
-        a newline -- are read here and are their own witnesses.  Every
-        other line is parsed by ``parse_graph6`` in file order; canonical
+        a newline -- are read here, one byte column of the block at a time;
+        a witness among them is written from its edge planes.  Every other
+        line is parsed by ``parse_graph6`` in file order; canonical
         lines never raise, so errors and warnings come out in file order.
         """
         if self.n is None:
@@ -394,10 +392,6 @@ class PairMaximum:
         self.add_planes(
             [_plane(body[k // 6], _SEXTET[k % 6]) for k in range(comb(self.n, 2))],
             ok,
-            lambda maximizers: min(
-                data[r * stride : (r + 1) * stride - 1]
-                for r in select_bits(maximizers, range(len(at)))
-            ).decode("ascii"),
         )
 
     def _canonical(self, block: list[str]) -> tuple[list[int], bytes, int]:
@@ -488,10 +482,10 @@ def scan_corpus(
     ``extremal_scan(iter_graph6(lines, strict), mode)``.
 
     Lines are read in bounded blocks.  Canonical records of the first
-    record's order are read straight from their bytes and are their own
-    witnesses; any other line goes through :func:`parse_graph6`, in file
-    order.  Raises :class:`GraphParseError` when the corpus holds no
-    record.
+    record's order are read straight from their bytes into edge planes, and
+    the witness is written from those planes; any other line goes through
+    :func:`parse_graph6`, in file order.  Raises :class:`GraphParseError`
+    when the corpus holds no record.
     """
     best = PairMaximum(mode)
     for block in line_blocks(lines):
@@ -517,18 +511,7 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
         raise InfeasibleOrderError("vertex count must be nonnegative")
     best.set_order(n)
     for masks, planes in edge_mask_blocks(n, DEFAULT_CHUNK_SIZE):
-        # graph6 body bits follow pair_order, most significant first, so
-        # among records of one order the byte-smallest has the smallest
-        # bit-reversed edge mask: only that graph's record is written.
-        best.add_planes(
-            planes,
-            (1 << len(masks)) - 1,
-            lambda maximizers: write_graph6(
-                graph_from_edge_mask(
-                    n, masks[smallest_reversed(maximizers, planes)]
-                )
-            ),
-        )
+        best.add_planes(planes, (1 << len(masks)) - 1)
         del masks, planes  # freed before the next block is built
     return _record(best)
 

@@ -23,7 +23,10 @@ The invocations:
 * ``--help`` of the tool and of every subcommand;
 * ``scan --corpus`` over small malformed or non-canonical corpora, in both
   modes, with and without ``--lenient``, and without ``--n``, with the
-  first record's order and with another.
+  first record's order and with another;
+* ``scan --corpus`` over tied maximizers: one repeated within a block and
+  across a block boundary among other maximizers, and distinct maximizers
+  in descending byte order across a block boundary.
 
 Each invocation runs inside ``warnings.catch_warnings()``, so a warning is
 shown once per invocation and location, as in a process of its own.  Help
@@ -114,6 +117,18 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
     padded = g8[4][:-1] + bytes([(g8[4][-1] - 63 | 1) + 63])
     complete65 = oracle.encode_graph6(65, set(oracle.pairs(65))).encode()
     empty65 = oracle.encode_graph6(65, set()).encode()
+    # K8 less a perfect matching: every pair dominates, so each matching
+    # gives a maximizer of the same count in both modes
+    ties = sorted({
+        oracle.encode_graph6(8, set(oracle.pairs(8)) - {
+            tuple(sorted(perm[k : k + 2])) for k in range(0, 8, 2)
+        }).encode()
+        for perm in (rng.sample(range(8), 8) for _ in range(60))
+    }, reverse=True)
+    repeat = records(8, 1100)
+    for at, record in [(10, ties[-1]), (600, ties[-1]), (700, ties[0]), (1000, ties[1]),
+                       (1030, ties[-1]), (1050, ties[2]), (1090, ties[3])]:
+        repeat[at] = record
     return {
         "header.g6": (8, lines([header + g8[0], *g8[1:5], header + g8[5]])),
         "header_line.g6": (8, lines([header, *g8[:5]])),
@@ -130,6 +145,8 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         "order65.g6": (65, lines([complete65, empty65, complete65])),
         "order65_no_candidate.g6": (65, lines([complete65, complete65])),
         "blank.g6": (8, b"\n  \n" * 600),
+        "tie_repeat.g6": (8, lines(repeat)),
+        "tie_descending.g6": (8, lines(records(8, 1000) + ties)),
     }
 
 

@@ -1,9 +1,11 @@
+import random
+from functools import lru_cache
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from domcount import Graph
-from domcount.scanning import graph_from_edge_mask
+from domcount import Graph, pair_extremal_graph, write_graph6
+from domcount.scanning import SCAN_BLOCK, graph_from_edge_mask
 
 
 @st.composite
@@ -21,3 +23,32 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     for v, row in enumerate(g.rows):
         rows[perm[v]] = sum(1 << perm[u] for u in range(g.n) if row >> u & 1)
     return Graph(g.n, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def tied_stream(n: int) -> tuple[Graph, ...]:
+    """SCAN_BLOCK + 40 shuffled relabellings of ``pair_extremal_graph(n)``,
+    all tied at the maximum in both modes.  The byte-smallest of them comes
+    only after the first SCAN_BLOCK graphs, twice within one block.
+
+    The graph's complement has at most n/2 + 1 edges, so each relabelling
+    renames those and complements back."""
+    rng = random.Random(n)
+    g = pair_extremal_graph(n)
+    full = (1 << n) - 1
+    missing = [(i, j) for j in range(n) for i in range(j) if not g.rows[i] >> j & 1]
+    graphs = []
+    for _ in range(SCAN_BLOCK + 100):
+        perm = rng.sample(range(n), n)
+        rows = [full ^ 1 << v for v in range(n)]
+        for i, j in missing:
+            rows[perm[i]] ^= 1 << perm[j]
+            rows[perm[j]] ^= 1 << perm[i]
+        graphs.append(Graph(n, tuple(rows)))
+    smallest = min(graphs, key=write_graph6)
+    graphs = [h for h in graphs if h != smallest]
+    assert len(graphs) >= SCAN_BLOCK + 38
+    graphs = graphs[: SCAN_BLOCK + 38]
+    graphs.insert(SCAN_BLOCK + 5, smallest)
+    graphs.insert(SCAN_BLOCK + 20, smallest)
+    return tuple(graphs)

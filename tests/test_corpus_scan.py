@@ -19,9 +19,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from domcount import complete_graph, from_edges, new_graph, write_graph6
+from conftest import tied_stream
+from domcount import complete_graph, count_sets, from_edges, new_graph, write_graph6
 from domcount.cli import run_cli
-from domcount.scanning import SCAN_BLOCK
+from domcount.scanning import SCAN_BLOCK, scan_corpus
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -195,6 +196,18 @@ class TestAgainstOracle:
         path = tmp_path / "corpus.g6"
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_matches_oracle(path)
+
+
+@pytest.mark.parametrize("mode", ["dominating", "total"])
+@pytest.mark.parametrize("n", [5, 7, 63, 64])
+def test_tied_maximizers(n, mode):
+    # canonical records at padded and wide orders, all tied; the smallest
+    # comes twice, both times past the first block
+    stream = tied_stream(n)
+    record = scan_corpus([write_graph6(g) + "\n" for g in stream], mode)
+    assert record.witness == min(write_graph6(g) for g in stream)
+    assert record.max_count == count_sets(stream[0], 2, mode)
+    assert record.graphs_scanned == len(stream)
 
 
 class TestOrderChecks:

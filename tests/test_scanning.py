@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tied_stream
 from labeled_oracle import enumerate_labeled_graphs, labeled_max_edges_gamma2
 from scan_oracle import oracle_extremal_scan
 
@@ -24,9 +25,11 @@ from domcount import (
     new_graph,
     parse_graph6,
     scan_labeled,
+    write_graph6,
 )
 from domcount import scanning
 from domcount.scanning import edge_mask_blocks, lane_sum, maximum, pair_order
+from domcount.scanning import smallest_reversed
 from domcount.scanning import DEFAULT_CHUNK_SIZE
 
 EXPECTED = {
@@ -114,12 +117,40 @@ class TestLaneSum:
             assert maximum(digits, (1 << lanes) - 1)[0] == top
 
 
+class TestWitnessTies:
+    """Every maximizer ties: the witness is the stream's byte-smallest
+    record, whichever block and lane it falls in and however often it
+    repeats."""
+
+    def test_smallest_reversed(self):
+        # lane bits over planes 0, 1, 2: lane 0 is 011, lanes 1 and 3 are
+        # 001, lane 2 is 100
+        planes = [0b0100, 0b0001, 0b1011]
+        assert smallest_reversed(0b1111, planes) == 3
+        assert smallest_reversed(0b1010, planes) == 3
+        assert smallest_reversed(0b0010, planes) == 1
+        assert smallest_reversed(0b0101, planes) == 0
+
+    def test_identical_lanes(self):
+        assert smallest_reversed(0b111, [0b111, 0, 0b111]) == 2
+        assert smallest_reversed(0b101, []) == 2
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("n", [5, 7, 63, 64])
+    def test_extremal_scan(self, n, mode):
+        stream = tied_stream(n)
+        record = extremal_scan(stream, mode)
+        assert record.witness == min(write_graph6(g) for g in stream)
+        assert record.max_count == count_sets(stream[0], 2, mode)
+        assert record.graphs_scanned == len(stream)
+
+
 class TestExtremalScan:
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_stream_and_vectorized_paths_agree(self, n, mode, monkeypatch):
-        # extremal_scan writes every maximizer's record; scan_labeled writes
-        # only the one with the smallest bit-reversed edge mask per block
+        # extremal_scan reads its planes from the graphs' rows, scan_labeled
+        # builds them from counters, in blocks of another size
         stream = extremal_scan(enumerate_labeled_graphs(n), mode)
         assert scan_labeled(n, mode) == stream
         monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", 97)
@@ -172,7 +203,7 @@ class TestExtremalScan:
 
     def test_corpus_style_stream(self):
         # a hand-rolled "corpus": every graph on 4 vertices, via graph6
-        from domcount import write_graph6, iter_graph6
+        from domcount import iter_graph6
 
         lines = [write_graph6(g) for g in enumerate_labeled_graphs(4)]
         record = extremal_scan(iter_graph6(lines), "dominating")
