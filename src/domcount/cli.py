@@ -15,11 +15,13 @@ import argparse
 import decimal
 import io
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from typing import Any
+from typing import Any, Iterator
 
 from .constructions import PartitionPlan, build_component_graph, component_plan
 from .constructions import max_total_dominating_pairs
@@ -37,8 +39,8 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graph6 import edge_list_order, graph6_order, parse_edge_list, parse_graph6
-from .graph6 import write_edge_list, write_graph6
+from .graph6 import edge_list_order, graph6_order, graph6_records, parse_edge_list
+from .graph6 import parse_graph6, text_lines, write_edge_list, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import efficiency_ratio, scan_corpus, scan_labeled
@@ -71,42 +73,43 @@ def _mode(args: argparse.Namespace) -> str:
     return "total" if getattr(args, "total", False) else "dominating"
 
 
-def _read_text(path: str) -> str:
-    # stdin's bytes are decoded as a file's are: ASCII, universal newlines
-    data = io.BytesIO(sys.stdin.buffer.read()) if path == "-" else open(path, "rb")
-    with io.TextIOWrapper(data, encoding="ascii") as handle:
-        return handle.read()
+@contextmanager
+def _open_text(path: str) -> Iterator[io.TextIOWrapper]:
+    """A file, or stdin (left open) for '-', as ASCII with universal newlines."""
+    if path != "-":
+        with open(path, encoding="ascii") as handle:
+            yield handle
+        return
+    handle = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii")
+    try:
+        yield handle
+    finally:
+        handle.detach()
 
 
 def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
     """The --in graph.  With ``counting``, an order past the counting cap is
     refused from the count line or size field, before the body is parsed."""
-    text = _read_text(args.infile)
-    if args.format == "edges":
-        if counting:
-            _check_countable(edge_list_order(text))
-        return parse_edge_list(text)
-    for line in text.splitlines():
-        if line.strip():
-            if counting:
-                _check_countable(graph6_order(line.strip()))
-            return parse_graph6(line.strip(), strict=not args.lenient)
-    raise GraphParseError("no graph6 record found in input")
-
-
-def _check_countable(order: int | None) -> None:
-    if order is not None:
+    with _open_text(args.infile) as handle:
+        text = handle.read()
+    edges = args.format == "edges"
+    if not edges:  # a graph6 input is read as its first record
+        text = next(graph6_records(text_lines(text)), None)
+        if text is None:
+            raise GraphParseError("no graph6 record found in input")
+    order = edge_list_order(text) if edges else graph6_order(text)
+    if counting and order is not None:
         check_countable(order)
+    if edges:
+        return parse_edge_list(text)
+    return parse_graph6(text, strict=not args.lenient)
 
 
 def _cmd_gamma(args: argparse.Namespace) -> dict[str, Any]:
     graph = _load_graph(args)
     mode = _mode(args)
-    if mode == "total":
-        gamma = total_domination_number(graph)
-    else:
-        gamma = domination_number(graph)
-    return {"n": graph.n, "m": graph.m, "mode": mode, "gamma": gamma}
+    number = total_domination_number if mode == "total" else domination_number
+    return {"n": graph.n, "m": graph.m, "mode": mode, "gamma": number(graph)}
 
 
 def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
@@ -179,20 +182,15 @@ def _cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
-        with open(args.corpus, "r", encoding="ascii") as handle:
-            head = []  # up to the first record, whose order --n must match
-            if args.n is not None:
-                for line in handle:
-                    head.append(line)
-                    if line.strip():
-                        order = graph6_order(line.strip())
-                        if order is not None and order != args.n:
-                            raise MixedOrderError(
-                                f"corpus has order {order}, --n {args.n} "
-                                "was requested"
-                            )
-                        break
-            record = scan_corpus(chain(head, handle), mode, strict=not args.lenient)
+        with _open_text(args.corpus) as handle:
+            # the first record, whose order --n must match; the scan starts there
+            first = next(graph6_records(handle), "")
+            order = graph6_order(first)
+            if args.n is not None and order is not None and order != args.n:
+                raise MixedOrderError(
+                    f"corpus has order {order}, --n {args.n} was requested"
+                )
+            record = scan_corpus(chain([first], handle), mode, strict=not args.lenient)
     else:
         if args.n is None:
             raise InfeasibleOrderError("scan needs --n or --corpus")
@@ -320,6 +318,8 @@ def run_cli(argv: list[str]) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
+        report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+        print(json.dumps(report, indent=2), flush=True)
     except (GraphParseError, MixedOrderError, UnicodeDecodeError) as exc:
         print(f"domcount: parse error: {exc}", file=sys.stderr)
         return 2
@@ -332,10 +332,14 @@ def run_cli(argv: list[str]) -> int:
     except OSError as exc:
         print(f"domcount: {exc}", file=sys.stderr)
         return 1
-    report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    print(json.dumps(report, indent=2))
     return 0
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    if sys.stdout is not None:  # None when the process starts without fd 1
+        try:
+            sys.stdout.flush()
+        except OSError:  # an unwritten report: let the flush at exit drop it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

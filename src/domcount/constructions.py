@@ -80,7 +80,9 @@ def max_dominating_pairs(n: int) -> int:
 
 def max_total_dominating_pairs(n: int) -> int:
     """Maximum number of total dominating 2-sets over n-vertex graphs with
-    total domination number 2: n(n-2)/2 for even n, (n(n-2)-3)/2 for odd n."""
+    (ordinary) domination number 2: n(n-2)/2 for even n, (n(n-2)-3)/2 for
+    odd n.  Not over graphs with total domination number 2: K_n has that,
+    and all C(n, 2) of its pairs are total dominating."""
     if n < 4:
         raise InfeasibleOrderError(f"closed form needs n >= 4, got {n}")
     if n % 2 == 0:
@@ -162,14 +164,8 @@ def require_feasible(n: int, x: int) -> None:
     on exactly n vertices (see :func:`component_plan` for the bounds)."""
     if x < 1:
         raise InfeasibleOrderError(f"target domination number must be >= 1, got {x}")
-    if x == 1:
-        minimum = 1
-    elif x == 2:
-        minimum = 4
-    elif x % 2 == 0:
-        minimum = 2 * x
-    else:
-        minimum = 2 * (x - 1) + 1
+    # x % 2 complete components of >= 1 vertex, x // 2 pair components of >= 4
+    minimum = x % 2 + 4 * (x // 2)
     if n < minimum:
         raise InfeasibleOrderError(
             f"no construction with domination number {x} on {n} vertices "

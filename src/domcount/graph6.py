@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, SizeLimitError
-from .graphs import MAX_VERTICES, Graph, GraphBuilder, select_bits
+from .graphs import MAX_VERTICES, Graph, select_bits
 
 HEADER = b">>graph6<<"
 
@@ -44,19 +44,14 @@ def _decode_size(data: bytes, base: int) -> tuple[int, int]:
     """Decode the N(n) size field at ``base``; return (n, bytes consumed)."""
     if data[base] != 126:
         return data[base] - 63, 1
-    if len(data) >= base + 2 and data[base + 1] == 126:
-        if len(data) < base + 8:
-            raise GraphParseError("truncated size field", position=base)
-        n = 0
-        for b in data[base + 2 : base + 8]:
-            n = n << 6 | (b - 63)
-        return n, 8
-    if len(data) < base + 4:
+    # "~~" then six bytes, or "~" then three
+    start, consumed = (2, 8) if data[base + 1 : base + 2] == b"~" else (1, 4)
+    if len(data) < base + consumed:
         raise GraphParseError("truncated size field", position=base)
     n = 0
-    for b in data[base + 1 : base + 4]:
+    for b in data[base + start : base + consumed]:
         n = n << 6 | (b - 63)
-    return n, 4
+    return n, consumed
 
 
 def _record_data(record: str | bytes) -> tuple[bytes, int]:
@@ -70,9 +65,7 @@ def _record_data(record: str | bytes) -> tuple[bytes, int]:
     else:
         data = bytes(record)
     data = data.rstrip(b"\r\n")
-    base = 0
-    if data.startswith(HEADER):
-        base = len(HEADER)
+    base = len(HEADER) if data.startswith(HEADER) else 0
     if base == len(data):
         raise GraphParseError("empty graph6 record", position=base)
     return data, base
@@ -101,14 +94,12 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
     strict mode; raises :class:`SizeLimitError` past the vertex cap.
     """
     data, base = _record_data(record)
-    if data[base:].translate(None, _GRAPH6_DIGITS):  # a byte is out of range
-        for offset in range(base, len(data)):
-            if not 63 <= data[offset] <= 126:
-                raise GraphParseError(
-                    f"byte {data[offset]} out of graph6 range [63, 126] "
-                    f"at offset {offset}",
-                    position=offset,
-                )
+    if bad := data[base:].translate(None, _GRAPH6_DIGITS):  # bytes out of range
+        offset = data.index(bad[:1], base)
+        raise GraphParseError(
+            f"byte {bad[0]} out of graph6 range [63, 126] at offset {offset}",
+            position=offset,
+        )
     n, consumed = _decode_size(data, base)
     if n > MAX_VERTICES:
         raise SizeLimitError(f"graph6 record has n={n}, cap is {MAX_VERTICES}")
@@ -168,13 +159,22 @@ def write_graph6(g: Graph) -> str:
     return (bytes(out) + body.translate(_TO_GRAPH6)).decode("ascii")
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``,
+    as when a file is read with universal newlines, and at nothing else."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def graph6_records(lines: Iterable[str | bytes]) -> Iterator[str | bytes]:
+    """graph6 records: each non-blank line, surrounding whitespace stripped."""
+    for line in lines:
+        if record := line.strip():
+            yield record
+
+
 def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[Graph]:
     """Parse a stream of graph6 records, one per line; blank lines skipped."""
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        yield parse_graph6(stripped, strict=strict)
+    return (parse_graph6(record, strict=strict) for record in graph6_records(lines))
 
 
 def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -186,8 +186,12 @@ def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield line_number, tokens
 
 
-def _vertex_count(line_number: int, tokens: list[str]) -> int:
-    """The vertex count of an edge list's first line."""
+def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
+    """The vertex count on the first of an edge list's :func:`_token_lines`."""
+    first = next(lines, None)
+    if first is None:
+        raise GraphParseError("missing vertex count line")
+    line_number, tokens = first
     if len(tokens) != 1:
         raise GraphParseError(
             f"expected a single vertex count on line {line_number}",
@@ -219,15 +223,13 @@ def edge_list_order(text: str) -> int | None:
     None when :func:`parse_edge_list` would reject the count line, or when
     that line does not end within the first ``_ORDER_PEEK`` characters."""
     head = text[:_ORDER_PEEK]
-    lines = head.splitlines()
+    lines = text_lines(head)
     if len(head) < len(text):
         lines = lines[:-1]  # may be cut short
-    for line_number, tokens in _token_lines(lines):
-        try:
-            return _vertex_count(line_number, tokens)
-        except (GraphParseError, SizeLimitError):
-            return None
-    return None
+    try:
+        return _vertex_count(_token_lines(lines))
+    except (GraphParseError, SizeLimitError):
+        return None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -236,11 +238,9 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` starts a comment; blank lines are skipped; duplicate edges are
     ignored.  Errors carry 1-based line numbers.
     """
-    lines = _token_lines(text.splitlines())
-    first = next(lines, None)
-    if first is None:
-        raise GraphParseError("missing vertex count line")
-    builder = GraphBuilder(_vertex_count(*first))
+    lines = _token_lines(text_lines(text))
+    n = _vertex_count(lines)
+    rows = [0] * n
     for line_number, tokens in lines:
         if len(tokens) != 2:
             raise GraphParseError(
@@ -256,14 +256,14 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(
                 f"loop {u}-{v} on line {line_number}", position=line_number
             )
-        if not (0 <= u < builder.n and 0 <= v < builder.n):
+        if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(
-                f"edge ({u}, {v}) out of range for n={builder.n} "
-                f"on line {line_number}",
+                f"edge ({u}, {v}) out of range for n={n} on line {line_number}",
                 position=line_number,
             )
-        builder.add_edge(u, v)
-    return builder.build()
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def write_edge_list(g: Graph) -> str:

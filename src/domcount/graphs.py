@@ -107,7 +107,7 @@ class Graph:
                 yield (u, v)
 
     def has_isolated_vertex(self) -> bool:
-        return any(row == 0 for row in self.rows) if self.n else False
+        return 0 in self.rows
 
 
 class GraphBuilder:

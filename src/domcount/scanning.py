@@ -35,7 +35,8 @@ from .constructions import component_plan
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
-from .graph6 import graph6_order, parse_graph6, write_graph6
+from .graph6 import graph6_order, graph6_records, iter_graph6, parse_graph6
+from .graph6 import write_graph6
 from .graphs import Graph, select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
@@ -372,7 +373,7 @@ class PairMaximum:
         lines never raise, so errors and warnings come out in file order.
         """
         if self.n is None:
-            first = next((record for line in block if (record := line.strip())), None)
+            first = next(graph6_records(block), None)
             if first is None:
                 return
             n = graph6_order(first)
@@ -380,11 +381,9 @@ class PairMaximum:
             self.set_order(parse_graph6(first, strict=strict).n if n is None else n)
         at, data, ok = self._canonical(block)
         canonical = set(select_bits(ok, at))
-        for i, line in enumerate(block):
-            if i not in canonical:
-                record = line.strip()
-                if record:
-                    self.add_graph(parse_graph6(record, strict=strict))
+        rest = [line for i, line in enumerate(block) if i not in canonical]
+        for g in iter_graph6(rest, strict):
+            self.add_graph(g)
         if not ok:
             return
         stride = self._stride

@@ -26,7 +26,11 @@ The invocations:
   first record's order and with another;
 * ``scan --corpus`` over tied maximizers: one repeated within a block and
   across a block boundary among other maximizers, and distinct maximizers
-  in descending byte order across a block boundary.
+  in descending byte order across a block boundary;
+* ``gamma --in`` and ``count --in`` (graph6 and edge lists) and ``scan
+  --corpus`` over files whose lines are separated, or ended, by one of
+  ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
+  not -- in both modes, with and without ``--lenient``.
 
 Each invocation runs inside ``warnings.catch_warnings()``, so a warning is
 shown once per invocation and location, as in a process of its own.  Help
@@ -53,6 +57,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("gamma", "count", "construct", "formula", "optimize", "scan", "efficiency")
 ELAPSED = re.compile(r'"elapsed_ms": \d+')
+SEPARATORS = {"vt": b"\v", "ff": b"\f", "fs": b"\x1c", "gs": b"\x1d", "rs": b"\x1e",
+              "cr": b"\r", "crlf": b"\r\n"}
 
 
 def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
@@ -93,7 +99,41 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
         for n in ([], ["--n", str(order)], ["--n", str(order + 1)]):
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, ["scan", "--corpus", f"corpora/{name}", *n, *flags]))
+    separated = work / own / "separated"
+    separated.mkdir()
+    for name, data in separated_inputs(random.Random(seed)).items():
+        (separated / name).write_bytes(data)
+        path = f"separated/{name}"
+        if name.endswith(".edges"):
+            commands = [[command, "--in", path, "--format", "edges"]
+                        for command in ("gamma", "count")]
+        else:
+            commands = [["gamma", "--in", path], ["count", "--in", path],
+                        ["scan", "--corpus", path]]
+        for argv in commands:
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, argv + flags))
     return runs
+
+
+def separated_inputs(rng: random.Random) -> dict[str, bytes]:
+    """graph6 files of three order-6 records and edge lists of the first
+    one, by file name, whose lines are separated (``between``) or ended
+    (``ends``) by each of ``SEPARATORS``; ``edges`` separates only the edge
+    lines."""
+    import oracle
+
+    graphs = [sorted(pair for pair in oracle.pairs(6) if rng.random() < 0.6)
+              for _ in range(3)]
+    records = [oracle.encode_graph6(6, set(edges)).encode() for edges in graphs]
+    lines = [b"6"] + [f"{u} {v}".encode() for u, v in graphs[0]]
+    inputs = {}
+    for name, separator in SEPARATORS.items():
+        inputs[f"between_{name}.g6"] = separator.join(records) + b"\n"
+        inputs[f"ends_{name}.g6"] = b"".join(r + separator + b"\n" for r in records)
+        inputs[f"between_{name}.edges"] = separator.join(lines) + b"\n"
+        inputs[f"edges_{name}.edges"] = lines[0] + b"\n" + separator.join(lines[1:])
+    return inputs
 
 
 def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:

@@ -221,6 +221,29 @@ class TestGammaAndCount:
             json.loads(from_file.stdout)
         )
 
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c"])
+    def test_only_newlines_separate_graph6_records(self, capsys, tmp_path, separator):
+        """``--in`` once split lines at these characters too, and read the
+        first record of this file where ``scan --corpus`` refused it."""
+        path = tmp_path / "two.g6"
+        path.write_text(f"C~{separator}C~\n", encoding="ascii")
+        refused = (
+            2, None, f"domcount: parse error: byte {ord(separator)} out of graph6 "
+            "range [63, 126] at offset 2\n",
+        )
+        for argv in (["gamma", "--in"], ["count", "--in"], ["scan", "--corpus"]):
+            assert run(capsys, *argv, str(path)) == refused, argv
+
+    @pytest.mark.parametrize("command", ["gamma", "count"])
+    def test_vertical_tab_does_not_end_an_edge_list_line(
+        self, capsys, tmp_path, command
+    ):
+        path = tmp_path / "path.edges"
+        path.write_text("4\v0 1\n1 2\n2 3\n", encoding="ascii")
+        assert run(capsys, command, "--in", str(path), "--format", "edges") == (
+            2, None, "domcount: parse error: expected a single vertex count on line 1\n"
+        )
+
     @pytest.mark.parametrize("flag, value", [("--witness-cap", "-3"), ("--size", "-1")])
     def test_negative_count_options_are_usage_errors(
         self, capsys, g6_file, flag, value
@@ -342,6 +365,27 @@ class TestOptimizeScanEfficiency:
         path.write_text(text)
         code, report, err = run(capsys, "scan", "--corpus", str(path))
         assert code == 2 and report is None and "no graph6 record" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"C]\n\nC?\r\nC]\rC^\n",
+            b"\n C~ \r\nC\xc3\xa9~\n",
+        ],
+        ids=["corpus", "non-ascii"],
+    )
+    def test_scan_corpus_from_stdin_reads_as_from_a_file(self, tmp_path, data):
+        """``--corpus -`` once looked for a file named '-'."""
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(data)
+        from_file, from_stdin = (
+            run_process(tmp_path, ["scan", "--corpus", source], data)
+            for source in (str(path), "-")
+        )
+        assert from_stdin.returncode == from_file.returncode
+        assert from_stdin.returncode == (0 if data.isascii() else 2)
+        assert from_stdin.stderr == from_file.stderr
+        assert ELAPSED.sub(b"", from_stdin.stdout) == ELAPSED.sub(b"", from_file.stdout)
 
     def test_scan_needs_source(self, capsys):
         code, _, _ = run(capsys, "scan")
@@ -490,6 +534,9 @@ def run_process(cwd, argv, stdin):
     )
 
 
+ELAPSED = re.compile(rb'"elapsed_ms": \d+')
+
+
 def run_script(script, tmp_path):
     import domcount
 
@@ -578,3 +625,30 @@ def test_gamma_of_a_long_path_or_cycle(tmp_path, edges, flags, gamma):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["gamma"] == gamma
+
+
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_unwritable_report_exits_1_without_a_traceback(tmp_path, target):
+    """The report was once printed outside the error mapping: a closed pipe
+    or a full device ended in a traceback, and the flush at exit failed
+    again."""
+    import domcount
+
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        message = b"domcount: [Errno 28] No space left on device\n"
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)  # closed before the report is written
+        message = b"domcount: [Errno 32] Broken pipe\n"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "domcount", "scan", "--n", "4"],
+            stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        )
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (1, message)

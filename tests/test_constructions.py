@@ -11,6 +11,7 @@ from domcount import (
     SizeLimitError,
     build_component_graph,
     cocktail_party,
+    complete_graph,
     complete_multipartite,
     component_plan,
     constructions,
@@ -150,6 +151,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("n,expected", [(3, 1), (4, 4), (5, 7), (6, 12), (7, 17)])
     def test_max_edges(self, n, expected):
         assert max_edges_gamma2(n) == expected
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_total_form_is_not_over_total_domination_number_two(self, n):
+        """K_n has total domination number 2, and all C(n, 2) of its pairs
+        are total dominating: the closed form's maximum is over graphs with
+        ordinary domination number 2."""
+        assert count_sets(complete_graph(n), 2, "total") > max_total_dominating_pairs(n)
 
     def test_domain_errors(self):
         for fn in (max_dominating_pairs, max_total_dominating_pairs):

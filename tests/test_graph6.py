@@ -21,7 +21,7 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import edge_list_order, graph6_order
+from domcount.graph6 import edge_list_order, graph6_order, graph6_records, text_lines
 from domcount.scanning import graph_from_edge_mask
 
 
@@ -307,6 +307,11 @@ class TestIterGraph6:
         assert [g.n for g in graphs] == [4, 4, 5]
         assert graphs[0].m == 6
 
+    def test_records_are_stripped_non_blank_lines(self):
+        lines = text_lines("\n C~ \r\n\t\rC]\x1c\nC?\vC~\n")
+        assert lines == ["", " C~ ", "\t", "C]\x1c", "C?\vC~", ""]
+        assert list(graph6_records(lines)) == ["C~", "C]", "C?\vC~"]
+
 
 class TestEdgeList:
     def test_four_cycle(self):
@@ -336,6 +341,18 @@ class TestEdgeList:
             parse_edge_list("2\n0 1 2\n")
         with pytest.raises(GraphParseError):
             parse_edge_list("2\nnope 1\n")
+
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+    def test_only_newlines_end_a_line(self, separator):
+        with pytest.raises(GraphParseError) as info:
+            parse_edge_list(f"4{separator}0 1\n1 2\n2 3\n")
+        assert str(info.value) == "expected a single vertex count on line 1"
+        assert info.value.position == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_universal_newline_ends_a_line(self, newline):
+        text = newline.join(["4", "0 1", "1 2", "2 3", ""])
+        assert parse_edge_list(text).rows == from_edges(4, [(0, 1), (1, 2), (2, 3)]).rows
 
     def test_missing_count(self):
         with pytest.raises(GraphParseError):
