@@ -18,7 +18,8 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterator
@@ -80,6 +81,8 @@ def _open_text(path: str) -> Iterator[io.TextIOWrapper]:
         with open(path, encoding="ascii") as handle:
             yield handle
         return
+    if sys.stdin is None:  # the process started without fd 0
+        raise OSError("standard input is closed")
     handle = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii")
     try:
         yield handle
@@ -309,6 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(message: Warning | str, seen: set[str]) -> None:
+    """Write a warning as one stderr line, unless ``seen`` holds it."""
+    line = f"domcount: warning: {message}\n"
+    if line not in seen and sys.stderr is not None:
+        seen.add(line)
+        with suppress(OSError):  # lost, as with warnings.showwarning
+            sys.stderr.write(line)
+
+
 def run_cli(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -316,9 +328,15 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
+    seen: set[str] = set()
     try:
-        report = args.handler(args)
+        with warnings.catch_warnings():  # one line per warning, whatever the filters
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: _warn(message, seen)
+            report = args.handler(args)
         report["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+        if sys.stdout is None:  # the process started without fd 1
+            raise OSError("standard output is closed")
         print(json.dumps(report, indent=2), flush=True)
     except (GraphParseError, MixedOrderError, UnicodeDecodeError) as exc:
         print(f"domcount: parse error: {exc}", file=sys.stderr)

@@ -172,12 +172,7 @@ def _walk(
     suffix = own + [0]  # suffix[i]: union of own[i:]
     for i in range(c - 2, -1, -1):
         suffix[i] |= suffix[i + 1]
-    # The packing bound never cuts a component of at most four vertices
-    # (checked over every connected graph of up to four vertices, both
-    # modes, every k), so those skip its sort and its loop.
-    by_coverers = (
-        sorted(zip(bits, own), key=lambda pair: pair[1].bit_count()) if c > 4 else []
-    )
+    by_coverers = sorted(zip(bits, own), key=lambda pair: pair[1].bit_count())
 
     def rec(i: int, slots: int, acc: int, chosen: int) -> bool:
         """Choose the remaining ``slots`` >= 2 vertices from bits[i:]."""

@@ -39,6 +39,8 @@ _GRAPH6_DIGITS = bytes(range(63, 127))
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 _TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
+_BLANK = "\t\n\v\f\r\x1c\x1d\x1e\x1f "  # what str.strip() removes from ASCII
+_BLANK_BYTES = _BLANK.encode("ascii")
 
 def _decode_size(data: bytes, base: int) -> tuple[int, int]:
     """Decode the N(n) size field at ``base``; return (n, bytes consumed)."""
@@ -166,9 +168,9 @@ def text_lines(text: str) -> list[str]:
 
 
 def graph6_records(lines: Iterable[str | bytes]) -> Iterator[str | bytes]:
-    """graph6 records: each non-blank line, surrounding whitespace stripped."""
+    """graph6 records: each line stripped of ``_BLANK``, if anything is left."""
     for line in lines:
-        if record := line.strip():
+        if record := line.strip(_BLANK if isinstance(line, str) else _BLANK_BYTES):
             yield record
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -42,12 +42,12 @@ from .graphs import Graph, select_bits
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
 
-# Labeled graphs per kernel call.  Planes of 2^17 lanes (16 KiB) keep a
-# block's few dozen live planes within a core's L2 cache: on a 2-vCPU x86
-# VM with 2 MiB of L2 per core, scan_labeled(7) takes 17-20 ms in a fresh
-# process against 28-30 ms with all of order 7 in one block (2^21 lanes),
-# at 11 MB less peak RSS.
-DEFAULT_CHUNK_SIZE = 1 << 17
+# Labeled graphs per kernel call, as a power of two.  Planes of 2^17 lanes
+# (16 KiB) keep a block's few dozen live planes within a core's L2 cache: on
+# a 2-vCPU x86 VM with 2 MiB of L2 per core, scan_labeled(7) takes 17-20 ms
+# in a fresh process against 28-30 ms with all of order 7 in one block (2^21
+# lanes), at 11 MB less peak RSS.
+CHUNK_BITS = 17
 
 # Graphs (or corpus lines) per kernel call outside the labeled enumeration.
 # Measured on 25 000 order-8 records (2-vCPU x86, best of 7): 1024-line
@@ -62,46 +62,35 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
 
 
-def counter_planes(start: int, size: int, bits: int) -> list[int]:
+def counter_planes(start: int, k: int, bits: int) -> list[int]:
     """Bit planes 0 .. bits-1 of the counter start, start+1, ...,
-    start+size-1: lane g of plane e holds bit e of start + g.
+    start+2^k-1, for k <= bits and ``start`` a multiple of 2^k: lane g of
+    plane e holds bit e of start + g.
 
-    The planes of the lane number g over 2^k lanes come from the top one
-    down: plane k-1 has its low half clear and its high half set, and
-    plane e is ``P ^ (P >> 2**e)`` for P = plane e+1.  ``start`` is then
-    added to every lane at once by a bit-sliced ripple-carry adder.
+    Below k these are the planes of the lane number g, built from the top
+    one down: plane e is ``P ^ (P >> 2**e)`` for P plane e+1, or every lane
+    set at e = k-1, which gives plane k-1 its clear low half and set high
+    half.  From k up, lane g adds nothing, so plane e has every lane set or
+    every lane clear, as bit e of ``start``.
     """
-    lanes = (1 << size) - 1
-    k = (size - 1).bit_length()
-    index = [0] * bits
-    if k:
-        half = 1 << (k - 1)
-        plane = ((1 << half) - 1) << half
-        index[k - 1] = plane & lanes
-        for e in range(k - 2, -1, -1):
-            plane ^= plane >> (1 << e)
-            index[e] = plane & lanes
-    carry = 0
-    for e, plane in enumerate(index):
-        if start >> e & 1:
-            index[e] = plane ^ carry ^ lanes
-            carry |= plane
-        else:
-            index[e] = plane ^ carry
-            carry &= plane
-    return index
+    lanes = plane = (1 << (1 << k)) - 1
+    index = [0] * k
+    for e in range(k - 1, -1, -1):
+        plane ^= plane >> (1 << e)
+        index[e] = plane
+    return index + [lanes if start >> e & 1 else 0 for e in range(k, bits)]
 
 
-def edge_mask_blocks(n: int, chunk_size: int) -> Iterator[tuple[range, list[int]]]:
+def edge_mask_blocks(n: int) -> Iterator[tuple[range, list[int]]]:
     """Every labeled graph on n vertices in edge-mask counter order, as
     blocks of (edge masks, edge planes): lane g of plane e is bit e of
-    mask ``masks[g]``, the edge ``pair_order(n)[e]``.  Block k holds the
-    masks from ``k * chunk_size`` on."""
+    mask ``masks[g]``, the edge ``pair_order(n)[e]``.  Block i holds the
+    2^k masks from i * 2^k on, for k the smaller of ``CHUNK_BITS`` (read at
+    call time) and C(n, 2)."""
     m = comb(n, 2)
-    total = 1 << m
-    for start in range(0, total, chunk_size):
-        masks = range(start, min(start + chunk_size, total))
-        yield masks, counter_planes(start, len(masks), m)
+    k = min(CHUNK_BITS, m)
+    for start in range(0, 1 << m, 1 << k):
+        yield range(start, start + (1 << k)), counter_planes(start, k, m)
 
 
 def lane_sum(planes: Iterable[int]) -> list[int]:
@@ -279,7 +268,6 @@ class PairMaximum:
         self.count = 0
         self.witness: str | None = None
         self.scanned = 0
-        self._graphs: list[Graph] = []
         self._stride = 0
         self._body = range(0)
         self._checks: list[tuple[int, bytes]] = []
@@ -324,43 +312,40 @@ class PairMaximum:
         if top > self.count or witness < self.witness:
             self.count, self.witness = top, witness
 
-    def add_graph(self, g: Graph) -> None:
-        """Take one graph of the stream, in stream order."""
-        if self.n is None:
-            self.set_order(g.n)
-        if g.n != self.n:
-            raise MixedOrderError(f"graph stream mixes orders {self.n} and {g.n}")
-        if self.n > COUNT_VERTEX_CAP:
-            # Past the counting cap: a graph that could compete is refused,
-            # one that cannot is only counted.
-            full = (1 << g.n) - 1
-            if (self.mode == "dominating" or not g.has_isolated_vertex()) and all(
-                row | 1 << v != full for v, row in enumerate(g.rows)
-            ):
-                check_countable(g.n)
-            self.scanned += 1
-            return
-        self._graphs.append(g)
-        if len(self._graphs) == SCAN_BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Run the kernel on the graphs gathered by :meth:`add_graph`."""
-        graphs, self._graphs = self._graphs, []
-        if not graphs:
+    def add_graphs(self, graphs: Iterable[Graph]) -> None:
+        """Take a block of graphs of the stream, in stream order: each is
+        checked as it is taken, then the kernel runs once on those kept."""
+        kept = []
+        for g in graphs:
+            if self.n is None:
+                self.set_order(g.n)
+            if g.n != self.n:
+                raise MixedOrderError(f"graph stream mixes orders {self.n} and {g.n}")
+            if self.n > COUNT_VERTEX_CAP:
+                # Past the counting cap: a graph that could compete is
+                # refused, one that cannot is only counted.
+                full = (1 << g.n) - 1
+                if (self.mode == "dominating" or not g.has_isolated_vertex()) and all(
+                    row | 1 << v != full for v, row in enumerate(g.rows)
+                ):
+                    check_countable(g.n)
+                self.scanned += 1
+            else:
+                kept.append(g)
+        if not kept:
             return
         # Row i of every graph as `width` big-endian bytes, last graph
         # first: bit j of the row is a byte column of its own.
         width = (self.n + 7) // 8
         columns = [
-            b"".join([g.rows[i].to_bytes(width, "big") for g in reversed(graphs)])
+            b"".join([g.rows[i].to_bytes(width, "big") for g in reversed(kept)])
             for i in range(self.n)
         ]
         planes = [
             _plane(columns[i][width - 1 - j // 8 :: width], _BIT[j % 8])
             for i, j in pair_order(self.n)
         ]
-        self.add_planes(planes, (1 << len(graphs)) - 1)
+        self.add_planes(planes, (1 << len(kept)) - 1)
 
     def add_lines(self, block: list[str], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
@@ -382,8 +367,7 @@ class PairMaximum:
         at, data, ok = self._canonical(block)
         canonical = set(select_bits(ok, at))
         rest = [line for i, line in enumerate(block) if i not in canonical]
-        for g in iter_graph6(rest, strict):
-            self.add_graph(g)
+        self.add_graphs(iter_graph6(rest, strict))
         if not ok:
             return
         stride = self._stride
@@ -442,7 +426,6 @@ class ExtremalRecord:
 
 
 def _record(best: PairMaximum) -> ExtremalRecord:
-    best.flush()
     return ExtremalRecord(
         n=best.n,
         mode=best.mode,
@@ -466,8 +449,9 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     the maximum.
     """
     best = PairMaximum(mode)
-    for g in graphs:
-        best.add_graph(g)
+    stream = iter(graphs)
+    for g in stream:
+        best.add_graphs(chain([g], islice(stream, SCAN_BLOCK - 1)))
     if best.n is None:
         raise ValueError("graph stream is empty")
     return _record(best)
@@ -498,8 +482,8 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     """Bit-sliced :func:`extremal_scan` over all labeled graphs on n
     vertices (target domination number 2), with the same filter: only
     graphs with ordinary domination number exactly 2 compete.  Graphs go
-    through the kernel in blocks of ``DEFAULT_CHUNK_SIZE`` edge masks, read
-    at call time; the record does not depend on it."""
+    through the kernel in blocks of 2^``CHUNK_BITS`` edge masks, read at
+    call time; the record does not depend on it."""
     best = PairMaximum(mode)
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
@@ -509,7 +493,7 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     if n < 0:
         raise InfeasibleOrderError("vertex count must be nonnegative")
     best.set_order(n)
-    for masks, planes in edge_mask_blocks(n, DEFAULT_CHUNK_SIZE):
+    for masks, planes in edge_mask_blocks(n):
         best.add_planes(planes, (1 << len(masks)) - 1)
         del masks, planes  # freed before the next block is built
     return _record(best)

@@ -32,9 +32,13 @@ The invocations:
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
   not -- in both modes, with and without ``--lenient``.
 
-Each invocation runs inside ``warnings.catch_warnings()``, so a warning is
-shown once per invocation and location, as in a process of its own.  Help
-text is formatted for 80 columns.  pytest does not collect this file.
+``run_cli`` writes each distinct warning as one stderr line, ``domcount:
+warning: <message>``.  A tree from before that rule leaves warnings to the
+interpreter, which names the file and line: each invocation runs inside
+``warnings.catch_warnings()``, so such a tree shows a warning once per
+invocation and location, as in a process of its own, and its ``src`` path
+is written ``SRC``.  Help text is formatted for 80 columns.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -217,7 +221,8 @@ def run_worker(src: str, work: str, plan: str, out: str) -> None:
         results.append({
             "code": code,
             "stdout": ELAPSED.sub('"elapsed_ms": _', stdout.getvalue()),
-            "stderr": stderr.getvalue().replace(src, "SRC"),  # warnings name files
+            # warnings of trees from before the one-line rule name files
+            "stderr": stderr.getvalue().replace(src, "SRC"),
             "written": written,
         })
     Path(out).write_text(json.dumps(results))

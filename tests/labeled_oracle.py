@@ -50,13 +50,13 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 def labeled_max_edges_gamma2(n: int) -> int:
     """Maximum edge count over all labeled n-vertex graphs with domination
     number >= 2, by exhaustive scan (n <= 7): the edge planes of each block
-    of ``scanning.DEFAULT_CHUNK_SIZE`` masks summed with the scan kernel's
+    of 2^``scanning.CHUNK_BITS`` masks summed with the scan kernel's
     adder tree, over the lanes with no dominating vertex."""
     _check_enumeration(n)
     if n < 2:
         raise ValueError("domination number >= 2 needs n >= 2")
     best = -1
-    for masks, planes in edge_mask_blocks(n, scanning.DEFAULT_CHUNK_SIZE):
+    for masks, planes in edge_mask_blocks(n):
         eligible = no_dominating_vertex(adjacency(n, planes), (1 << len(masks)) - 1)
         if eligible:
             best = max(best, maximum(lane_sum(planes), eligible)[0])

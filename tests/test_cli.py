@@ -652,3 +652,80 @@ def test_unwritable_report_exits_1_without_a_traceback(tmp_path, target):
     finally:
         os.close(stdout)
     assert (proc.returncode, proc.stderr) == (1, message)
+
+
+@pytest.mark.parametrize(
+    "fd, argv, message",
+    [
+        (0, ["gamma", "--in", "-"], b"domcount: standard input is closed\n"),
+        (1, ["scan", "--n", "4"], b"domcount: standard output is closed\n"),
+    ],
+    ids=["stdin", "stdout"],
+)
+def test_closed_standard_stream_exits_1_with_one_line(tmp_path, fd, argv, message):
+    """A process started without fd 0 once ended in an AttributeError
+    traceback on ``--in -``; one started without fd 1 dropped its report
+    and exited 0."""
+    import domcount
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "domcount", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(fd), cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [([], {}), (["-W", "error"], {}), ([], {"PYTHONWARNINGS": "error"})],
+    ids=["default", "W-error", "PYTHONWARNINGS-error"],
+)
+@pytest.mark.parametrize(
+    "argv, data, report",
+    [
+        (["count", "--in", "input.g6"], b"DNx\n", {"gamma": 2, "count": 9}),
+        (["scan", "--corpus", "input.g6"], b"D?@\n D?A\nDNw\nDNx\n",
+         {"count": 9, "witness": "DNw", "graphs_scanned": 4}),
+    ],
+    ids=["count", "scan-corpus"],
+)
+def test_lenient_warnings_are_one_line_whatever_the_filters(
+    tmp_path, flags, env, argv, data, report
+):
+    """Padding warnings once printed a file:line location and the source
+    line, once per location, and under ``-W error`` ended in a traceback."""
+    import domcount
+
+    (tmp_path / "input.g6").write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "domcount", *argv, "--lenient"],
+        capture_output=True, cwd=tmp_path, timeout=60,
+        env={**os.environ, **env,
+             "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"domcount: warning: nonzero padding bits in graph6 record\n"
+    assert json.loads(proc.stdout).items() >= report.items()
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_unwritable_warning_does_not_cost_the_report(tmp_path, stderr):
+    """A warning line that cannot be written is lost, as with
+    ``warnings.showwarning``; the report and exit code stay."""
+    import domcount
+
+    (tmp_path / "input.g6").write_bytes(b"DNx\n")
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "domcount", "count", "--in", "input.g6",
+             "--lenient"],
+            stdout=subprocess.PIPE,
+            stderr=read_only if stderr == "read-only" else None,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+            cwd=tmp_path, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 9

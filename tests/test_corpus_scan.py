@@ -210,6 +210,47 @@ def test_tied_maximizers(n, mode):
     assert record.graphs_scanned == len(stream)
 
 
+def api_outcome(scan, corpus, mode, strict):
+    """What ``scan`` did on corpus bytes read as the CLI reads them: the
+    record or the error, and every warning message in order."""
+    lines = io.TextIOWrapper(io.BytesIO(corpus), encoding="ascii")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = scan(lines, mode, strict)
+        except ValueError as exc:  # the package's errors and UnicodeDecodeError
+            outcome = (type(exc).__name__, str(exc))
+    return outcome, [str(w.message) for w in caught]
+
+
+class TestWarningsAgainstOracle:
+    """The CLI writes each distinct warning once, so the corpus scan's
+    warnings, one per padded record and in file order, are compared with
+    the oracle's here, at the API."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=corpora(), mode=st.sampled_from(["dominating", "total"]),
+           strict=st.booleans())
+    def test_random_corpora(self, corpus, mode, strict):
+        assert api_outcome(scan_corpus, corpus, mode, strict) == api_outcome(
+            oracle_scan_corpus, corpus, mode, strict
+        )
+
+    @pytest.mark.parametrize("at", [0, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK])
+    def test_padded_records_across_blocks(self, at):
+        rng = random.Random(at)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(2 * SCAN_BLOCK + 100)]
+        for i in (at, at + 1, at + 50):
+            lines[i] = mutate(lines[i], "padding", 8, rng)
+        corpus = b"\n".join(lines) + b"\n"
+        outcome, caught = api_outcome(scan_corpus, corpus, "dominating", False)
+        assert caught == ["nonzero padding bits in graph6 record"] * 3
+        assert (outcome, caught) == api_outcome(
+            oracle_scan_corpus, corpus, "dominating", False
+        )
+
+
 class TestOrderChecks:
     @pytest.mark.parametrize(
         "records",

@@ -312,6 +312,20 @@ class TestIterGraph6:
         assert lines == ["", " C~ ", "\t", "C]\x1c", "C?\vC~", ""]
         assert list(graph6_records(lines)) == ["C~", "C]", "C?\vC~"]
 
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_one_strip_rule_for_str_and_bytes(self, kind):
+        """bytes lines once kept \x1c-\x1f, which str.strip() removes, and
+        str lines lost non-ASCII whitespace such as \xa0."""
+        def line(text):
+            return text if kind is str else text.encode("latin-1")
+
+        blank = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+        lines = [line(blank + "C~" + blank), line(blank), line("\x1cC]\x1f")]
+        assert list(graph6_records(lines)) == [line("C~"), line("C]")]
+        assert [g.m for g in iter_graph6(lines)] == [6, 4]
+        with pytest.raises(GraphParseError, match="non-ASCII|out of graph6 range"):
+            list(iter_graph6([line("C~\xa0")]))
+
 
 class TestEdgeList:
     def test_four_cycle(self):

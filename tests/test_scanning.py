@@ -30,7 +30,7 @@ from domcount import (
 from domcount import scanning
 from domcount.scanning import edge_mask_blocks, lane_sum, maximum, pair_order
 from domcount.scanning import smallest_reversed
-from domcount.scanning import DEFAULT_CHUNK_SIZE
+from domcount.scanning import CHUNK_BITS
 
 EXPECTED = {
     "dominating": {4: 6, 5: 9, 6: 15},
@@ -63,8 +63,8 @@ class TestEnumeration:
 class TestEdgeMaskBlocks:
     """The edge planes of the labeled enumeration -- the rows of each
     block's edge-by-graph bit matrix -- against the masks and
-    ``graph_from_edge_mask``, with chunk sizes that are powers of two and
-    sizes that start blocks at unaligned masks and end them short."""
+    ``graph_from_edge_mask``, with blocks smaller than one last-vertex run,
+    blocks across runs and blocks larger than the whole order."""
 
     @staticmethod
     def mask_bit_plane(e, start, size):
@@ -75,17 +75,20 @@ class TestEdgeMaskBlocks:
         return int(pattern[offset : offset + size][::-1], 2)
 
     @pytest.mark.parametrize("n", range(8))
-    def test_rows_match_graph_from_edge_mask(self, n):
+    def test_rows_match_graph_from_edge_mask(self, n, monkeypatch):
         m, total = comb(n, 2), 1 << comb(n, 2)
-        run = 1 << comb(max(n - 1, 0), 2)  # masks per last-vertex neighbourhood
+        run = comb(max(n - 1, 0), 2)  # log2 of the masks per last-vertex run
         pairs = pair_order(n)
         rng = random.Random(n)
-        chunks = {1, 5, max(run - 1, 1), run + 3, 1 << 18, DEFAULT_CHUNK_SIZE}
-        for chunk in sorted(chunks):
-            if total // chunk > 2000:
+        exponents = {0, 2, 5, max(run - 1, 0), run + 2, 11, CHUNK_BITS, 18, 22}
+        for bits in sorted(exponents):
+            if total >> bits > 2000:
                 continue  # too many blocks to build one by one
-            blocks = list(edge_mask_blocks(n, chunk))
-            assert [masks.start for masks, _ in blocks] == list(range(0, total, chunk))
+            monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
+            blocks = list(edge_mask_blocks(n))
+            assert [masks.start for masks, _ in blocks] == list(
+                range(0, total, 1 << bits)
+            )
             assert blocks[-1][0].stop == total
             for masks, planes in blocks:
                 assert len(planes) == m
@@ -97,7 +100,7 @@ class TestEdgeMaskBlocks:
                     rows = graph_from_edge_mask(n, masks.start + g).rows
                     assert [plane >> g & 1 for plane in planes] == [
                         rows[i] >> j & 1 for i, j in pairs
-                    ], (n, chunk, masks.start + g)
+                    ], (n, bits, masks.start + g)
 
 
 class TestLaneSum:
@@ -153,7 +156,7 @@ class TestExtremalScan:
         # builds them from counters, in blocks of another size
         stream = extremal_scan(enumerate_labeled_graphs(n), mode)
         assert scan_labeled(n, mode) == stream
-        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", 97)
+        monkeypatch.setattr(scanning, "CHUNK_BITS", 7)
         assert scan_labeled(n, mode) == stream
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
@@ -165,8 +168,8 @@ class TestExtremalScan:
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
         baseline = scan_labeled(6, "total")
-        for chunk in (97, 4096, 1 << 20):
-            monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", chunk)
+        for bits in (7, 12, 20):
+            monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
             assert scan_labeled(6, "total") == baseline
 
     @pytest.mark.parametrize(
@@ -175,8 +178,8 @@ class TestExtremalScan:
     )
     def test_order_7_records(self, mode, record, monkeypatch):
         # golden values, as the former numpy kernel computed them
-        for chunk in (DEFAULT_CHUNK_SIZE, (1 << 18) + 3, 1 << 21):
-            monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", chunk)
+        for bits in (CHUNK_BITS, 18, 21):
+            monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
             result = scan_labeled(7, mode)
             assert (result.max_count, result.witness, result.graphs_scanned) == record
 
@@ -326,9 +329,9 @@ class TestMaxEdges:
         assert labeled_max_edges_gamma2(n) == max_edges_gamma2(n)
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
-        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", 13)
+        monkeypatch.setattr(scanning, "CHUNK_BITS", 3)
         assert labeled_max_edges_gamma2(5) == 7
-        monkeypatch.setattr(scanning, "DEFAULT_CHUNK_SIZE", (1 << 18) + 3)
+        monkeypatch.setattr(scanning, "CHUNK_BITS", 18)
         assert labeled_max_edges_gamma2(7) == 17
 
     def test_size_limit(self):
