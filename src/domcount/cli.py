@@ -232,7 +232,8 @@ class _Parser(argparse.ArgumentParser):
     parse errors and uses 1 for usage."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
+        if sys.stderr is not None:  # print_usage(None) writes to stdout
+            self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -312,13 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnose(line: str) -> None:
+    """Write one diagnostic line to stderr.  It is lost, as with
+    ``warnings.showwarning``, when the process has no stderr or the write
+    fails; it never falls back to stdout, the report stream."""
+    if sys.stderr is not None:  # None when the process starts without fd 2
+        with suppress(OSError):
+            sys.stderr.write(f"domcount: {line}\n")
+
+
 def _warn(message: Warning | str, seen: set[str]) -> None:
     """Write a warning as one stderr line, unless ``seen`` holds it."""
-    line = f"domcount: warning: {message}\n"
-    if line not in seen and sys.stderr is not None:
+    line = f"warning: {message}"
+    if line not in seen:
         seen.add(line)
-        with suppress(OSError):  # lost, as with warnings.showwarning
-            sys.stderr.write(line)
+        _diagnose(line)
 
 
 def run_cli(argv: list[str]) -> int:
@@ -339,16 +348,16 @@ def run_cli(argv: list[str]) -> int:
             raise OSError("standard output is closed")
         print(json.dumps(report, indent=2), flush=True)
     except (GraphParseError, MixedOrderError, UnicodeDecodeError) as exc:
-        print(f"domcount: parse error: {exc}", file=sys.stderr)
+        _diagnose(f"parse error: {exc}")
         return 2
     except SizeLimitError as exc:
-        print(f"domcount: size limit: {exc}", file=sys.stderr)
+        _diagnose(f"size limit: {exc}")
         return 4
     except (InfeasibleOrderError, UndefinedTotalDominationError) as exc:
-        print(f"domcount: infeasible: {exc}", file=sys.stderr)
+        _diagnose(f"infeasible: {exc}")
         return 3
     except OSError as exc:
-        print(f"domcount: {exc}", file=sys.stderr)
+        _diagnose(str(exc))
         return 1
     return 0
 

@@ -18,12 +18,12 @@ components.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Sequence
 
 from .errors import InfeasibleOrderError
-from .graphs import Graph, check_order, complete_graph, disjoint_union
+from .graphs import Frozen, Graph, check_order, complete_graph, disjoint_union
+from .graphs import set_field
 
 KIND_COMPLETE = "complete"
 KIND_PAIR = "pair"
@@ -111,17 +111,19 @@ def component_count(kind: str, size: int) -> int:
     raise ValueError(f"unknown component kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """One component of a union construction: a complete graph (domination
     number 1, ``size`` minimum sets) or a pair-extremal graph (domination
     number 2, ``max_dominating_pairs(size)`` minimum sets)."""
 
+    __slots__ = ("kind", "size")
     kind: str
     size: int
 
-    def __post_init__(self):
-        component_count(self.kind, self.size)  # validates kind and size
+    def __init__(self, kind: str, size: int):
+        component_count(kind, size)  # validates kind and size
+        set_field(self, "kind", kind)
+        set_field(self, "size", size)
 
     @property
     def gamma(self) -> int:
@@ -132,20 +134,23 @@ class Component:
         return component_count(self.kind, self.size)
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(Frozen):
     """A multiset of components realizing total order n and domination
     number x; ``total_count`` is the product of per-component counts."""
 
+    __slots__ = ("n", "x", "components")
     n: int
     x: int
     components: tuple[Component, ...]
 
-    def __post_init__(self):
-        if sum(c.size for c in self.components) != self.n:
+    def __init__(self, n: int, x: int, components: tuple[Component, ...]):
+        if sum(c.size for c in components) != n:
             raise ValueError("component sizes must sum to n")
-        if sum(c.gamma for c in self.components) != self.x:
+        if sum(c.gamma for c in components) != x:
             raise ValueError("component domination numbers must sum to x")
+        set_field(self, "n", n)
+        set_field(self, "x", x)
+        set_field(self, "components", components)
 
     @property
     def total_count(self) -> int:

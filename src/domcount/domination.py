@@ -25,7 +25,6 @@ enumeration chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
 
@@ -34,7 +33,7 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graphs import Graph, VertexSet, select_bits
+from .graphs import Frozen, Graph, VertexSet, select_bits, set_field
 
 Mode = Literal["dominating", "total"]
 
@@ -386,14 +385,21 @@ def count_sets_with_witnesses(
     return count, tuple(VertexSet(g.n, mask) for mask in masks)
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(Frozen):
     """Minimum (total) dominating set size, exact count, capped witnesses."""
 
+    __slots__ = ("mode", "gamma", "count", "witnesses")
     mode: Mode
     gamma: int
     count: int
     witnesses: tuple[VertexSet, ...]
+
+    def __init__(self, mode: Mode, gamma: int, count: int,
+                 witnesses: tuple[VertexSet, ...]):
+        set_field(self, "mode", mode)
+        set_field(self, "gamma", gamma)
+        set_field(self, "count", count)
+        set_field(self, "witnesses", witnesses)
 
 
 def count_minimum(

@@ -8,8 +8,8 @@ is the hot path) and larger constructed graphs up to ``MAX_VERTICES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InfeasibleOrderError, InvalidEdgeError, SizeLimitError
@@ -28,6 +28,47 @@ def select_bits(mask: int, items: Sequence[T]) -> Iterator[T]:
     return compress(items, format(mask, "b")[::-1].encode().translate(_SELECTOR))
 
 
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable values.  A subclass names its fields
+    in ``__slots__`` and sets them in ``__init__`` with :data:`set_field`.
+    Values compare, hash and print as frozen dataclasses do, by class and
+    the tuple of fields; pickling and copying go through ``__init__``, so
+    its checks run again."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        # Called as self._fields(self): an attrgetter does not bind to the
+        # instance.  Of two or more names, as every subclass has, it
+        # returns a tuple.
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
 def check_order(n: int) -> None:
     """Reject a negative vertex count or one past ``MAX_VERTICES``."""
     if n < 0:
@@ -36,18 +77,20 @@ def check_order(n: int) -> None:
         raise SizeLimitError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Frozen):
     """A subset of the vertices 0..n-1, stored as a bit mask."""
 
+    __slots__ = ("n", "mask")
     n: int
     mask: int
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, mask: int):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} sets bits outside 0..{self.n - 1}")
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask:#x} sets bits outside 0..{n - 1}")
+        set_field(self, "n", n)
+        set_field(self, "mask", mask)
 
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
@@ -72,8 +115,7 @@ class VertexSet:
         return iter(self.vertices())
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``rows[v]`` is the neighbor bit mask of ``v``.  Instances are safe to
@@ -82,18 +124,21 @@ class Graph:
     be symmetric and loop-free.
     """
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        check_order(self.n)
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        for v, row in enumerate(self.rows):
-            if row < 0 or row >> self.n:
-                raise ValueError(f"row {v} sets bits outside 0..{self.n - 1}")
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        check_order(n)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        for v, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise ValueError(f"row {v} sets bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise InvalidEdgeError(f"loop at vertex {v}")
+        set_field(self, "n", n)
+        set_field(self, "rows", rows)
 
     @property
     def m(self) -> int:

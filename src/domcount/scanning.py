@@ -25,7 +25,6 @@ scanned.  Three entry points feed it edge planes, one per pair in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb, factorial
@@ -37,7 +36,7 @@ from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
 from .graph6 import graph6_order, graph6_records, iter_graph6, parse_graph6
 from .graph6 import write_graph6
-from .graphs import Graph, select_bits
+from .graphs import Frozen, Graph, select_bits, set_field
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -407,8 +406,7 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(Frozen):
     """Result of maximizing a (total) dominating set count over a scan.
 
     ``witness`` is the graph6 record of one maximizing graph (the smallest
@@ -417,12 +415,22 @@ class ExtremalRecord:
     ``target_gamma`` is always 2, the one domination number scans answer.
     """
 
+    __slots__ = ("n", "mode", "target_gamma", "max_count", "witness", "graphs_scanned")
     n: int
     mode: Mode
     target_gamma: int
     max_count: int
     witness: str | None
     graphs_scanned: int
+
+    def __init__(self, n: int, mode: Mode, target_gamma: int, max_count: int,
+                 witness: str | None, graphs_scanned: int):
+        set_field(self, "n", n)
+        set_field(self, "mode", mode)
+        set_field(self, "target_gamma", target_gamma)
+        set_field(self, "max_count", max_count)
+        set_field(self, "witness", witness)
+        set_field(self, "graphs_scanned", graphs_scanned)
 
 
 def _record(best: PairMaximum) -> ExtremalRecord:
@@ -499,8 +507,7 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     return _record(best)
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(Frozen):
     """How close the union construction comes to all C(n, x) subsets.
 
     ``ratio`` is the exact fraction of x-subsets that dominate the (n, x)
@@ -510,11 +517,20 @@ class EfficiencyReport:
     dominating-set count itself (count ~ coefficient * n^x).
     """
 
+    __slots__ = ("n", "x", "ratio", "ratio_limit", "asymptotic_coefficient")
     n: int
     x: int
     ratio: Fraction
     ratio_limit: Fraction
     asymptotic_coefficient: Fraction
+
+    def __init__(self, n: int, x: int, ratio: Fraction, ratio_limit: Fraction,
+                 asymptotic_coefficient: Fraction):
+        set_field(self, "n", n)
+        set_field(self, "x", x)
+        set_field(self, "ratio", ratio)
+        set_field(self, "ratio_limit", ratio_limit)
+        set_field(self, "asymptotic_coefficient", asymptotic_coefficient)
 
 
 def efficiency_ratio(n: int, x: int) -> EfficiencyReport:

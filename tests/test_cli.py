@@ -729,3 +729,61 @@ def test_unwritable_warning_does_not_cost_the_report(tmp_path, stderr):
         )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 9
+
+
+def test_no_subcommand_loads_the_introspection_modules(tmp_path):
+    """The package defines no dataclass, so neither importing the CLI nor
+    running any subcommand loads ``dataclasses`` or the modules it pulls in
+    (``inspect`` and, through it, ``ast``, ``dis`` and ``tokenize``)."""
+    script = """
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+before = set(sys.modules)
+from domcount.cli import run_cli
+out = CORPUS + ".out"
+for argv in (
+    ["formula", "--n", "9", "--gamma", "3"],
+    ["formula", "--n", "9", "--gamma", "2", "--total"],
+    ["optimize", "--n", "12", "--gamma", "4"],
+    ["efficiency", "--n", "12", "--gamma", "3"],
+    ["construct", "--n", "9", "--gamma", "3"],
+    ["construct", "--n", "9", "--gamma", "3", "--out", out, "--format", "edges"],
+    ["gamma", "--in", "-", "--total"],
+    ["gamma", "--in", out, "--format", "edges"],
+    ["count", "--in", "-", "--witness-cap", "3"],
+    ["count", "--in", "-", "--size", "3", "--total"],
+    ["scan", "--n", "5"],
+    ["scan", "--corpus", CORPUS, "--total", "--lenient"],
+):
+    sys.stdin = io.TextIOWrapper(io.BytesIO(b"C~\\n"))
+    assert run_cli(argv) == 0, argv
+    loaded = HEAVY & (set(sys.modules) - before)
+    assert not loaded, (argv, sorted(loaded))
+"""
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (1, ["gamma", "--in", "missing.g6"]),
+        (1, ["gamma", "--bogus"]),
+        (2, ["gamma", "--in", "input.g6"]),
+        (3, ["construct", "--n", "3", "--gamma", "5"]),
+        (4, ["scan", "--n", "9"]),
+    ],
+    ids=["unreadable", "usage", "parse", "infeasible", "size-limit"],
+)
+def test_diagnostics_without_stderr_stay_off_stdout(tmp_path, code, argv):
+    """Without fd 2, the one-line diagnostics of exit codes 1-4 once went
+    to stdout, the report stream; they are dropped instead."""
+    import domcount
+
+    (tmp_path / "input.g6").write_bytes(b"caf\xc3\xa9\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "domcount", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        preexec_fn=lambda: os.close(2), cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (code, b"")

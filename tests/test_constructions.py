@@ -269,13 +269,13 @@ class TestBuiltGraphs:
 
     def test_one_union_of_the_pieces(self, monkeypatch):
         made = []
-        post_init = Graph.__post_init__
+        init = Graph.__init__
 
-        def counted(graph):
-            made.append(graph.n)
-            post_init(graph)
+        def counted(graph, n, rows):
+            made.append(n)
+            init(graph, n, rows)
 
-        monkeypatch.setattr(Graph, "__post_init__", counted)
+        monkeypatch.setattr(Graph, "__init__", counted)
         graph = graph_from_plan(component_plan(4096, 2048))
         assert made == [4] * 1024 + [4096] and graph.n == 4096
 

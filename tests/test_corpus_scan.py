@@ -2,8 +2,8 @@
 
 The CLI is run twice on each corpus: as shipped, and with its corpus scan
 replaced by ``oracle_scan_corpus`` (``iter_graph6`` plus the per-graph
-reduction).  The JSON report (``elapsed_ms`` aside), stderr, warnings and
-exit code must be the same.
+reduction).  The JSON report (``elapsed_ms`` aside), stderr (warning lines
+included) and exit code must be the same.
 """
 
 import contextlib
@@ -29,16 +29,15 @@ MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
 
 
 def cli_outcome(argv):
+    """Exit code, report (``elapsed_ms`` aside) and stderr text; ``run_cli``
+    writes its warnings to stderr itself."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
     report = json.loads(out.getvalue()) if out.getvalue() else None
     if report is not None:
         del report["elapsed_ms"]
-    return code, report, err.getvalue(), [str(w.message) for w in caught]
+    return code, report, err.getvalue()
 
 
 def assert_matches_oracle(path, extra=()):
@@ -168,7 +167,7 @@ class TestAgainstOracle:
         path = tmp_path / "corpus.g6"
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_matches_oracle(path)
-        _, _, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        _, _, err = cli_outcome(["scan", "--corpus", str(path)])
         assert ("ascii" in err) == (gap * len(lines[0]) < 8192)
 
     @pytest.mark.parametrize("kind", ["canonical", "header"])
@@ -185,7 +184,7 @@ class TestAgainstOracle:
     def test_blank_corpus_past_one_block(self, tmp_path):
         path = tmp_path / "corpus.g6"
         path.write_bytes(b"\n  \n" * SCAN_BLOCK)
-        code, report, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        code, report, err = cli_outcome(["scan", "--corpus", str(path)])
         assert code == 2 and report is None
         assert err == "domcount: parse error: no graph6 record found in corpus\n"
         assert_matches_oracle(path)
@@ -264,7 +263,7 @@ class TestOrderChecks:
     def test_order_65_exits_4(self, tmp_path, records):
         path = tmp_path / "corpus.g6"
         path.write_text("".join(write_graph6(g) + "\n" for g in records))
-        code, report, err, _ = cli_outcome(["scan", "--corpus", str(path)])
+        code, report, err = cli_outcome(["scan", "--corpus", str(path)])
         assert code == 4 and report is None
         assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
         assert_matches_oracle(path)
@@ -273,14 +272,14 @@ class TestOrderChecks:
         # every graph has a dominating vertex: nothing is counted
         path = tmp_path / "corpus.g6"
         path.write_text((write_graph6(complete_graph(65)) + "\n") * 2)
-        code, report, _, _ = cli_outcome(["scan", "--corpus", str(path)])
+        code, report, _ = cli_outcome(["scan", "--corpus", str(path)])
         assert code == 0 and report["count"] == 0 and report["graphs_scanned"] == 2
         assert_matches_oracle(path)
 
     def test_requested_order_is_checked_first(self, tmp_path):
         path = tmp_path / "corpus.g6"
         path.write_text("\n" + write_graph6(complete_graph(8)) + "\nG?!???\n")
-        code, report, err, _ = cli_outcome(
+        code, report, err = cli_outcome(
             ["scan", "--corpus", str(path), "--n", "5"]
         )
         assert code == 2 and report is None
@@ -290,5 +289,5 @@ class TestOrderChecks:
         path = tmp_path / "corpus.g6"
         path.write_text("\n\n" + write_graph6(complete_graph(8)) + "\nG?!???\n")
         assert_matches_oracle(path, ["--n", "8"])
-        code, _, err, _ = cli_outcome(["scan", "--corpus", str(path), "--n", "8"])
+        code, _, err = cli_outcome(["scan", "--corpus", str(path), "--n", "8"])
         assert code == 2 and "out of graph6 range" in err
