@@ -1,18 +1,20 @@
 """Exact domination predicates, numbers, and minimum-set counts.
 
 Every number here comes from one walk, run on each connected component of
-the graph in place: lexicographic k-combinations of the component's
-vertices over bit masks.  Since adjacency is symmetric, the vertices that
-cover ``u`` are exactly ``rows[u]``.  A prefix is abandoned as soon as even
-the union of every remaining neighborhood cannot cover the component, or
-as soon as a packing bound (Meir & Moon's 2-packing bound, rho <= gamma)
-shows its open slots are too few: uncovered vertices whose coverers among
-the remaining vertices are pairwise disjoint each need a slot of their
-own.  Both cuts drop only prefixes that no cover extends, so the count,
-the lexicographic order of the witnesses and the first cover found are
-those of the plain walk.  The last open slot is not enumerated: the
-completions of a prefix are the later vertices in the intersection of
-``rows[u]`` over its uncovered ``u``.
+the graph in place, over bit masks.  Since adjacency is symmetric, the
+vertices that cover ``u`` are exactly ``rows[u]``.  The walk branches on
+covering: it picks the uncovered vertex with the fewest coverers still
+allowed, and each branch takes one of them as the first chosen and drops
+it from the later branches, so every k-subset is met once.  A node is cut
+when an uncovered vertex has no allowed coverer, or when a packing bound
+(Meir & Moon's 2-packing bound, rho <= gamma) shows its open slots are too
+few: uncovered vertices whose allowed coverers are pairwise disjoint each
+need a slot of their own.  Once the component is covered, every filling of
+the open slots counts at once, and the last open slot is not enumerated:
+its completions are the allowed vertices in the intersection of
+``rows[u]`` over the uncovered ``u``.  Covers arrive out of lexicographic
+order, so the first ones in that order, the witnesses, are selected as
+they arrive.
 
 Minimum (total) dominating sets multiply across components (the domination
 polynomial is multiplicative over disjoint unions), so the domination
@@ -25,6 +27,7 @@ enumeration chunking.
 from __future__ import annotations
 
 import math
+from heapq import heappush, heapreplace
 from itertools import combinations
 from typing import Literal
 
@@ -106,6 +109,14 @@ def _components(g: Graph) -> list[int]:
     return components
 
 
+def _lex_key(mask: int) -> int:
+    """``mask`` with its 64 bits (counting takes n <= 64) reversed.  On sets
+    of one size, lexicographic order is descending key order: the set that
+    holds the lowest vertex of a symmetric difference has the larger key.
+    The key of a key is the mask."""
+    return int(format(mask, "064b")[::-1], 2)
+
+
 def _walk(
     rows: list[int], component: int, k: int, witness_cap: int = 0,
     first: bool = False,
@@ -118,95 +129,81 @@ def _walk(
     lexicographic order.  With ``first`` the walk stops at the first cover,
     so the count is nonzero exactly when one exists.
 
-    A node is cut only when no choice of its open slots covers the
-    component, so the walk meets the covers in the order of the uncut walk
-    and skips only subtrees that hold none: the count, the witnesses and
-    the cover at which ``first`` stops do not change.  Two cuts apply.  The
-    union of the remaining rows must cover what is still uncovered.  And
-    an uncovered vertex is kept when its coverers among the remaining
-    vertices are disjoint from those of every vertex kept before it; each
-    kept vertex needs a chosen vertex of its own, so more kept vertices
-    than open slots leave no cover.  Vertices with the fewest coverers are
-    tried first, so that many are kept.
+    A node stands for the k-subsets that hold ``chosen`` and fill its open
+    slots from ``allowed``.  It branches on an uncovered vertex u with the
+    fewest coverers in ``allowed``, v1 < ... < vm: branch i takes vi and
+    drops v1, ..., vi from ``allowed``.  A set of the node that covers u
+    holds some vi, and only the branch of the first of them holds the set,
+    so the walk meets each cover exactly once.  A node is cut only when
+    none of its sets is a cover: when an uncovered vertex has no coverer in
+    ``allowed``, or when more uncovered vertices have pairwise disjoint
+    coverers in ``allowed`` than there are open slots, since each of them
+    needs a chosen vertex of its own.
+
+    The witnesses are selected as the covers arrive: their
+    :func:`_lex_key` keys go into a min-heap of at most ``witness_cap``,
+    whose root is the kept cover that comes last in lexicographic order.
+    The sets of a covered node share ``chosen`` and are offered in
+    lexicographic order, so the first that cannot enter ends the offers.
     """
     total = 0
-    witnesses: list[int] = []
+    size = component.bit_count()
+    kept: list[int] = []
+    singles = [1 << v for v in range(component.bit_length())]
 
-    def last(candidates: int, acc: int, chosen: int) -> bool:
-        """Fill the last slot from ``candidates``; True means stop.
-
-        Rows are symmetric, so rows[u] is the set of vertices that cover u:
-        the completions are the candidates in rows[u] for every u that
-        ``acc`` leaves uncovered.
-        """
+    def rec(allowed: int, slots: int, acc: int, chosen: int) -> bool:
+        """Count the covers that add ``slots`` >= 1 vertices of ``allowed``
+        to ``chosen``; True means stop."""
         nonlocal total
         missing = component ^ acc
-        while missing:
-            u = missing.bit_length() - 1
-            candidates &= rows[u]
-            if not candidates:
-                return False
-            missing ^= 1 << u
-        total += candidates.bit_count()
-        while candidates and len(witnesses) < witness_cap:
-            low = candidates & -candidates
-            witnesses.append(chosen | low)
-            candidates ^= low
-        return first
-
-    if k == 1:
-        last(component, 0, 0)
-        return total, witnesses
-    bits = []
-    own = []
-    rest = component
-    while rest:
-        low = rest & -rest
-        bits.append(low)
-        own.append(rows[low.bit_length() - 1])
-        rest ^= low
-    c = len(bits)
-    if not 0 < k <= c:
-        return 0, []
-    suffix = own + [0]  # suffix[i]: union of own[i:]
-    for i in range(c - 2, -1, -1):
-        suffix[i] |= suffix[i + 1]
-    by_coverers = sorted(zip(bits, own), key=lambda pair: pair[1].bit_count())
-
-    def rec(i: int, slots: int, acc: int, chosen: int) -> bool:
-        """Choose the remaining ``slots`` >= 2 vertices from bits[i:]."""
-        nonlocal total
-        if acc == component:
-            total += math.comb(c - i, slots)
-            if len(witnesses) < witness_cap:
-                for extra in combinations(bits[i:], slots):
-                    witnesses.append(chosen | sum(extra))
-                    if len(witnesses) == witness_cap:
+        if slots == 1:
+            # rows are symmetric, so rows[u] is the set of u's coverers
+            while missing:
+                u = missing.bit_length() - 1
+                allowed &= rows[u]
+                if not allowed:
+                    return False
+                missing ^= 1 << u
+        if not missing:
+            count = math.comb(allowed.bit_count(), slots)
+            total += count
+            if witness_cap:
+                for extra in combinations(select_bits(allowed, singles), slots):
+                    key = _lex_key(chosen | sum(extra))
+                    if len(kept) < witness_cap:
+                        heappush(kept, key)
+                    elif key > kept[0]:
+                        heapreplace(kept, key)
+                    else:
                         break
-            return first
-        avail = component & -bits[i]  # the vertices bits[i:]
+            return first and count > 0
         used = need = 0
-        for u, row in by_coverers:
-            if not acc & u:
-                row &= avail
-                if not row & used:
-                    used |= row
-                    need += 1
-                    if need > slots:
-                        return False
-        for j in range(i, c - slots + 1):
-            # suffix[j] shrinks with j, so the first failure ends the loop
-            if acc | suffix[j] != component:
-                return False
-            if slots == 2:
-                if last(component & -bits[j + 1], acc | own[j], chosen | bits[j]):
-                    return True
-            elif rec(j + 1, slots - 1, acc | own[j], chosen | bits[j]):
+        best, fewest = 0, size + 1
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            row = rows[low.bit_length() - 1] & allowed
+            if not row & used:
+                if not row:
+                    return False
+                used |= row
+                need += 1
+                if need > slots:
+                    return False
+            count = row.bit_count()
+            if count < fewest:
+                best, fewest = row, count
+        while best:
+            v = best & -best
+            best ^= v
+            allowed ^= v
+            if rec(allowed, slots - 1, acc | rows[v.bit_length() - 1], chosen | v):
                 return True
         return False
 
-    rec(0, k, 0, 0)
-    return total, witnesses
+    if 0 < k <= size:
+        rec(component, k, 0, 0)
+    return total, [_lex_key(key) for key in sorted(kept, reverse=True)]
 
 
 Minimum = tuple[int, tuple[int, list[int]]]
@@ -241,12 +238,6 @@ def _component_minima(
     return minima
 
 
-def _lex_key(mask: int) -> tuple[int, ...]:
-    """Sorted vertices of ``mask``; on sets of one size, tuple order is the
-    walk's lexicographic order."""
-    return tuple(select_bits(mask, range(mask.bit_length())))
-
-
 def _first_unions(pairs: list[tuple[list[int], list[int]]], cap: int) -> list[int]:
     """The first ``cap`` sets x | y, in lexicographic order, over pairs of
     sorted lists (xs, ys) whose sets lie in two disjoint vertex sets L, R.
@@ -270,7 +261,7 @@ def _first_unions(pairs: list[tuple[list[int], list[int]]], cap: int) -> list[in
         for a in range(len(xs))
         for b in range(min(len(ys), cap // (a + 1)))
     ]
-    return sorted(joins, key=_lex_key)[:cap]
+    return sorted(joins, key=_lex_key, reverse=True)[:cap]
 
 
 Table = dict[int, tuple[int, list[int]]]

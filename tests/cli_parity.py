@@ -15,6 +15,9 @@ The invocations:
 * ``scan --n -1..8`` in both modes;
 * every job of the four ``perfbench`` workloads at ``--seed``, in job order,
   on inputs the workloads write for that seed;
+* ``count --in`` on each connected graph of the ``count`` workload at one
+  above its (total) domination number, with ``--witness-cap`` 1, 7 and
+  1000, in both modes: more covers than witnesses;
 * ``formula`` in both modes, ``optimize``, ``efficiency`` and ``construct``
   (inline, ``--out`` graph6, ``--out`` edge list) for n = -1..40 and
   gamma = -1..12;
@@ -79,6 +82,11 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
         where = work / "perfbench" / name
         where.mkdir(parents=True)
         runs += [(f"perfbench/{name}", job.argv) for job in make_jobs(where, seed)]
+    for name, (*_, gamma, _, total_gamma, _) in workloads.CONNECTED.items():
+        for size, total in ((gamma + 1, []), (total_gamma + 1, ["--total"])):
+            runs += [("perfbench/count", ["count", "--in", f"{name}.g6", "--size", str(size),
+                                          "--witness-cap", cap] + total)
+                     for cap in ("1", "7", "1000")]
     for n in range(-1, 41):
         for x in range(-1, 13):
             order = ["--n", str(n), "--gamma", str(x)]

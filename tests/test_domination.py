@@ -358,27 +358,55 @@ class TestPackingBound:
                 assert (report.gamma, report.count) == (gamma, count)
                 assert [w.mask for w in report.witnesses] == expected[:7]
 
-    def test_cuts_the_walk(self):
-        """The walk's work on a sparse G(40, 0.15) with domination number 8,
-        as calls of its inner functions: 4551 with the bound, 9762 when the
-        bound takes coverers outside the remaining vertices (weaker but
-        still sound), 588227 without it."""
-        g = connected_gnp(40, 0.15, 1)
+    @staticmethod
+    def walk_calls(run):
+        """``run()`` and the number of calls of the walk's inner ``rec``
+        it made."""
         calls = 0
 
         def profile(frame, event, arg):
             nonlocal calls
             code = frame.f_code
-            if event == "call" and code.co_name in ("rec", "last") and (
+            if event == "call" and code.co_name == "rec" and (
                 code.co_filename == domination.__file__
             ):
                 calls += 1
 
         sys.setprofile(profile)
         try:
-            gamma = domination_number(g)
+            result = run()
         finally:
             sys.setprofile(None)
-        assert gamma == 8
-        assert calls <= 6000
+        return result, calls
 
+    def test_cuts_the_walk(self):
+        """The walk's work on a sparse G(40, 0.15) with domination number 8,
+        as calls of its inner ``rec``: 1962 with the bound and 4038 without
+        it."""
+        g = connected_gnp(40, 0.15, 1)
+        gamma, calls = self.walk_calls(lambda: domination_number(g))
+        assert gamma == 8
+        assert calls <= 2500
+
+    def test_bounded_work_above_gamma(self):
+        """Counting above the minimum on a dense G(44, 0.3) with domination
+        number 5: 130343 ``rec`` calls at size 7."""
+        g = connected_gnp(44, 0.3, 1)
+        assert domination_number(g) == 5
+        count, calls = self.walk_calls(lambda: count_sets(g, 7, "dominating"))
+        assert count == 443630
+        assert calls <= 150_000
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_witness_order_when_the_count_exceeds_the_cap(self, mode):
+        # thousands of covers at gamma + 2 arrive out of lexicographic
+        # order, so the kept witnesses are replaced many times
+        g = connected_gnp(22, 0.3, 1)
+        number = domination_number if mode == "dominating" else total_domination_number
+        k = number(g) + 2
+        count, expected = whole_graph_walk(g, k, mode, 1000)
+        assert count > 2000
+        for cap in (1, 7, 1000):
+            got, witnesses = count_sets_with_witnesses(g, k, mode, cap)
+            assert got == count
+            assert [w.mask for w in witnesses] == expected[:cap]
