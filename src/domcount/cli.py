@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Any, Iterator
 
 from .constructions import PartitionPlan, build_component_graph, component_plan
-from .constructions import max_total_dominating_pairs
+from .constructions import efficiency_ratio, max_total_dominating_pairs
 from .domination import (
     check_countable,
     count_minimum,
@@ -44,7 +44,7 @@ from .graph6 import edge_list_order, graph6_order, graph6_records, parse_edge_li
 from .graph6 import parse_graph6, text_lines, write_edge_list, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
-from .scanning import efficiency_ratio, scan_corpus, scan_labeled
+from .scanning import scan_corpus, scan_labeled
 
 _JSON_SAFE_MAX = 2**53
 

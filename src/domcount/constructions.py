@@ -12,13 +12,15 @@ Two families do all the work:
 Graphs with any larger target domination number x are produced as disjoint
 unions of these two kinds of components, with the domination numbers of the
 components summing to x; minimum dominating sets then multiply across
-components.
+components.  ``efficiency_ratio`` says how many of all x-subsets of such a
+union dominate it: the exact fraction, and its limit as n grows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, prod
+from fractions import Fraction
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .errors import InfeasibleOrderError
@@ -203,6 +205,38 @@ def component_plan(n: int, x: int) -> PartitionPlan:
     as possible, larger sizes first.  So x=1 is one complete component and
     x=2 one pair component."""
     return union_plan(n, x, balanced_split)
+
+
+class EfficiencyReport(Frozen):
+    """How close the union construction comes to all C(n, x) subsets.
+
+    ``ratio`` is the exact fraction of x-subsets that dominate the (n, x)
+    construction.  ``ratio_limit`` is its fixed-x limit as n grows:
+    x! * 2^(x/2) / x^x for even x and x! * 2^((x-1)/2) / x^x for odd x.
+    ``asymptotic_coefficient`` is the matching leading coefficient of the
+    dominating-set count itself (count ~ coefficient * n^x).
+    """
+
+    __slots__ = ("n", "x", "ratio", "ratio_limit", "asymptotic_coefficient")
+    n: int
+    x: int
+    ratio: Fraction
+    ratio_limit: Fraction
+    asymptotic_coefficient: Fraction
+
+
+def efficiency_ratio(n: int, x: int) -> EfficiencyReport:
+    """Exact fraction of x-subsets that dominate the (n, x) construction."""
+    plan = component_plan(n, x)
+    ratio = Fraction(plan.total_count, comb(n, x))
+    coefficient = Fraction(2 ** (x // 2), x**x)
+    return EfficiencyReport(
+        n=n,
+        x=x,
+        ratio=ratio,
+        ratio_limit=coefficient * factorial(x),
+        asymptotic_coefficient=coefficient,
+    )
 
 
 def graph_from_plan(plan: PartitionPlan) -> Graph:

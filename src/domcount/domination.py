@@ -6,15 +6,15 @@ vertices that cover ``u`` are exactly ``rows[u]``.  The walk branches on
 covering: it picks the uncovered vertex with the fewest coverers still
 allowed, and each branch takes one of them as the first chosen and drops
 it from the later branches, so every k-subset is met once.  A node is cut
-when an uncovered vertex has no allowed coverer, or when a packing bound
-(Meir & Moon's 2-packing bound, rho <= gamma) shows its open slots are too
-few: uncovered vertices whose allowed coverers are pairwise disjoint each
-need a slot of their own.  Once the component is covered, every filling of
-the open slots counts at once, and the last open slot is not enumerated:
-its completions are the allowed vertices in the intersection of
-``rows[u]`` over the uncovered ``u``.  Covers arrive out of lexicographic
-order, so the first ones in that order, the witnesses, are selected as
-they arrive.
+when a packing bound (Meir & Moon's 2-packing bound, rho <= gamma) shows
+its open slots are too few: uncovered vertices whose allowed coverers are
+pairwise disjoint each need a slot of their own.  Once the component is
+covered, every filling of the open slots counts at once, and the last open
+slot is not enumerated: its completions are the allowed vertices in the
+intersection of ``rows[u]`` over the uncovered ``u``; only there, as an
+empty intersection, can a node run out of coverers.  Covers arrive out of
+lexicographic order, so the first ones in that order, the witnesses, are
+selected as they arrive.
 
 Minimum (total) dominating sets multiply across components (the domination
 polynomial is multiplicative over disjoint unions), so the domination
@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graphs import Frozen, Graph, VertexSet, select_bits, set_field
+from .graphs import Frozen, Graph, VertexSet, select_bits
 
 Mode = Literal["dominating", "total"]
 
@@ -135,10 +135,12 @@ def _walk(
     drops v1, ..., vi from ``allowed``.  A set of the node that covers u
     holds some vi, and only the branch of the first of them holds the set,
     so the walk meets each cover exactly once.  A node is cut only when
-    none of its sets is a cover: when an uncovered vertex has no coverer in
-    ``allowed``, or when more uncovered vertices have pairwise disjoint
-    coverers in ``allowed`` than there are open slots, since each of them
-    needs a chosen vertex of its own.
+    none of its sets is a cover: when more uncovered vertices have pairwise
+    disjoint coverers in ``allowed`` than there are open slots, since each
+    needs a chosen vertex of its own, or at the last slot, when no allowed
+    vertex covers every uncovered one.  Before that, an uncovered w keeps a
+    coverer: it has one at the root, and in branch i, vi does not cover w,
+    so at most i - 1 of its m or more allowed coverers were dropped.
 
     The witnesses are selected as the covers arrive: their
     :func:`_lex_key` keys go into a min-heap of at most ``witness_cap``,
@@ -184,8 +186,6 @@ def _walk(
             missing ^= low
             row = rows[low.bit_length() - 1] & allowed
             if not row & used:
-                if not row:
-                    return False
                 used |= row
                 need += 1
                 if need > slots:
@@ -384,13 +384,6 @@ class DominationReport(Frozen):
     gamma: int
     count: int
     witnesses: tuple[VertexSet, ...]
-
-    def __init__(self, mode: Mode, gamma: int, count: int,
-                 witnesses: tuple[VertexSet, ...]):
-        set_field(self, "mode", mode)
-        set_field(self, "gamma", gamma)
-        set_field(self, "count", count)
-        set_field(self, "witnesses", witnesses)
 
 
 def count_minimum(

@@ -26,6 +26,7 @@ lines.
 from __future__ import annotations
 
 import binascii
+import re
 import warnings
 from math import comb
 from typing import Iterable, Iterator
@@ -216,18 +217,12 @@ def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
     return n
 
 
-# Characters of an edge list searched for its vertex count line.
-_ORDER_PEEK = 1 << 16
-
-
 def edge_list_order(text: str) -> int | None:
     """The vertex count an edge list declares, read without its edge lines;
-    None when :func:`parse_edge_list` would reject the count line, or when
-    that line does not end within the first ``_ORDER_PEEK`` characters."""
-    head = text[:_ORDER_PEEK]
-    lines = text_lines(head)
-    if len(head) < len(text):
-        lines = lines[:-1]  # may be cut short
+    None when :func:`parse_edge_list` would reject the count line.  Lines
+    are taken one at a time up to the count line, with the line ends of
+    :func:`text_lines`; empty lines, which it keeps, hold no tokens."""
+    lines = (line.group() for line in re.finditer(r"[^\r\n]+", text))
     try:
         return _vertex_count(_token_lines(lines))
     except (GraphParseError, SizeLimitError):

@@ -33,12 +33,22 @@ set_field = object.__setattr__
 
 class Frozen:
     """Base of the package's immutable values.  A subclass names its fields
-    in ``__slots__`` and sets them in ``__init__`` with :data:`set_field`.
-    Values compare, hash and print as frozen dataclasses do, by class and
-    the tuple of fields; pickling and copying go through ``__init__``, so
-    its checks run again."""
+    in ``__slots__``; ``__init__`` binds them by position or name, unless the
+    subclass checks its arguments in an ``__init__`` of its own that sets
+    them with :data:`set_field`.  Values compare, hash and print as frozen
+    dataclasses do, by class and the tuple of fields; pickling and copying
+    go through ``__init__``, so its checks run again."""
 
     __slots__ = ("__weakref__",)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = (*args, *[kwargs.pop(k) for k in names[len(args) :] if k in kwargs])
+        if len(values) != len(names) or kwargs:
+            fields = ", ".join(names)
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {fields}")
+        for name, value in zip(names, values):
+            set_field(self, name, value)
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__

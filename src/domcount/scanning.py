@@ -1,5 +1,4 @@
-"""Exhaustive γ=2 scans on one bit-sliced kernel, and construction
-efficiency ratios.
+"""Exhaustive γ=2 scans on one bit-sliced kernel.
 
 Every scan asks one question -- the largest number of (total) dominating
 pairs among graphs of one order with domination number exactly 2 -- of one
@@ -25,18 +24,15 @@ scanned.  Three entry points feed it edge planes, one per pair in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator
 
-from .constructions import component_plan
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
-from .graph6 import graph6_order, graph6_records, iter_graph6, parse_graph6
-from .graph6 import write_graph6
-from .graphs import Frozen, Graph, select_bits, set_field
+from .graph6 import graph6_order, graph6_records, iter_graph6, write_graph6
+from .graphs import Frozen, Graph, from_edges, select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -233,14 +229,14 @@ _IN_RANGE = _bad_table(range(63, 127))
 _NEWLINE = _bad_table([ord("\n")])
 
 
-def line_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
+def line_blocks(lines: Iterable[str | bytes]) -> Iterator[list[str | bytes]]:
     """Lines in blocks of at most ``SCAN_BLOCK``.
 
     A failed read (for example a byte the text decoder rejects) is raised
     only after the block read before it has been handed out, so an error in
     an earlier line still comes first, as when lines are taken one by one.
     """
-    block: list[str] = []
+    block: list[str | bytes] = []
     try:
         for line in lines:
             block.append(line)
@@ -346,7 +342,7 @@ class PairMaximum:
         ]
         self.add_planes(planes, (1 << len(kept)) - 1)
 
-    def add_lines(self, block: list[str], strict: bool) -> None:
+    def add_lines(self, block: list[str | bytes], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
 
         Lines that are canonical records of order n -- the empty graph's
@@ -357,12 +353,11 @@ class PairMaximum:
         lines never raise, so errors and warnings come out in file order.
         """
         if self.n is None:
-            first = next(graph6_records(block), None)
-            if first is None:
-                return
-            n = graph6_order(first)
-            # parse_graph6 raises the error of a size field graph6_order rejects
-            self.set_order(parse_graph6(first, strict=strict).n if n is None else n)
+            # the first record's order; one it cannot read stays unset, and
+            # iter_graph6 below raises that record's error in stream order
+            n = graph6_order(next(graph6_records(block), ""))
+            if n is not None:
+                self.set_order(n)
         at, data, ok = self._canonical(block)
         canonical = set(select_bits(ok, at))
         rest = [line for i, line in enumerate(block) if i not in canonical]
@@ -376,7 +371,7 @@ class PairMaximum:
             ok,
         )
 
-    def _canonical(self, block: list[str]) -> tuple[list[int], bytes, int]:
+    def _canonical(self, block: list[str | bytes]) -> tuple[list[int], bytes, int]:
         """The lines of ``block`` with the length of a canonical record and
         its newline, their bytes joined, and the lanes (one per such line)
         that are canonical records."""
@@ -386,10 +381,10 @@ class PairMaximum:
         at = [i for i, line in enumerate(block) if len(line) == stride]
         if not at:
             return [], b"", 0
-        joined = "".join([block[i] for i in at])
+        joined = block[at[0]][:0].join([block[i] for i in at])
         if not joined.isascii():
             return [], b"", 0
-        data = joined.encode("ascii")
+        data = joined.encode("ascii") if isinstance(joined, str) else joined
         bad = 0
         for p, table in self._checks:
             bad |= _plane(data[p::stride][::-1], table)
@@ -398,12 +393,7 @@ class PairMaximum:
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the bits of ``mask`` in pair_order(n)."""
-    rows = [0] * n
-    for k, (i, j) in enumerate(pair_order(n)):
-        if mask >> k & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return from_edges(n, select_bits(mask, pair_order(n)))
 
 
 class ExtremalRecord(Frozen):
@@ -422,15 +412,6 @@ class ExtremalRecord(Frozen):
     max_count: int
     witness: str | None
     graphs_scanned: int
-
-    def __init__(self, n: int, mode: Mode, target_gamma: int, max_count: int,
-                 witness: str | None, graphs_scanned: int):
-        set_field(self, "n", n)
-        set_field(self, "mode", mode)
-        set_field(self, "target_gamma", target_gamma)
-        set_field(self, "max_count", max_count)
-        set_field(self, "witness", witness)
-        set_field(self, "graphs_scanned", graphs_scanned)
 
 
 def _record(best: PairMaximum) -> ExtremalRecord:
@@ -466,7 +447,7 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
 
 
 def scan_corpus(
-    lines: Iterable[str], mode: Mode, strict: bool = True
+    lines: Iterable[str | bytes], mode: Mode, strict: bool = True
 ) -> ExtremalRecord:
     """:func:`extremal_scan` (target 2) over a graph6 corpus, one record
     per line, blank lines skipped: the same record, errors and warnings as
@@ -505,43 +486,3 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
         best.add_planes(planes, (1 << len(masks)) - 1)
         del masks, planes  # freed before the next block is built
     return _record(best)
-
-
-class EfficiencyReport(Frozen):
-    """How close the union construction comes to all C(n, x) subsets.
-
-    ``ratio`` is the exact fraction of x-subsets that dominate the (n, x)
-    construction.  ``ratio_limit`` is its fixed-x limit as n grows:
-    x! * 2^(x/2) / x^x for even x and x! * 2^((x-1)/2) / x^x for odd x.
-    ``asymptotic_coefficient`` is the matching leading coefficient of the
-    dominating-set count itself (count ~ coefficient * n^x).
-    """
-
-    __slots__ = ("n", "x", "ratio", "ratio_limit", "asymptotic_coefficient")
-    n: int
-    x: int
-    ratio: Fraction
-    ratio_limit: Fraction
-    asymptotic_coefficient: Fraction
-
-    def __init__(self, n: int, x: int, ratio: Fraction, ratio_limit: Fraction,
-                 asymptotic_coefficient: Fraction):
-        set_field(self, "n", n)
-        set_field(self, "x", x)
-        set_field(self, "ratio", ratio)
-        set_field(self, "ratio_limit", ratio_limit)
-        set_field(self, "asymptotic_coefficient", asymptotic_coefficient)
-
-
-def efficiency_ratio(n: int, x: int) -> EfficiencyReport:
-    """Exact fraction of x-subsets that dominate the (n, x) construction."""
-    plan = component_plan(n, x)
-    ratio = Fraction(plan.total_count, comb(n, x))
-    coefficient = Fraction(2 ** (x // 2), x**x)
-    return EfficiencyReport(
-        n=n,
-        x=x,
-        ratio=ratio,
-        ratio_limit=coefficient * factorial(x),
-        asymptotic_coefficient=coefficient,
-    )

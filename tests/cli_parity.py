@@ -33,7 +33,11 @@ The invocations:
 * ``gamma --in`` and ``count --in`` (graph6 and edge lists) and ``scan
   --corpus`` over files whose lines are separated, or ended, by one of
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
-  not -- in both modes, with and without ``--lenient``.
+  not -- in both modes, with and without ``--lenient``;
+* ``gamma --in`` and ``count --in`` over ``LONE_INPUTS``: edge lists whose
+  count line follows 70 000 comment characters (n = 65 with a loop on a
+  later line, and a valid n = 5), and empty and whitespace-only files in
+  both formats, in both modes, with and without ``--lenient``.
 
 ``run_cli`` writes each distinct warning as one stderr line, ``domcount:
 warning: <message>``.  A tree from before that rule leaves warnings to the
@@ -66,6 +70,15 @@ SUBCOMMANDS = ("gamma", "count", "construct", "formula", "optimize", "scan", "ef
 ELAPSED = re.compile(r'"elapsed_ms": \d+')
 SEPARATORS = {"vt": b"\v", "ff": b"\f", "fs": b"\x1c", "gs": b"\x1d", "rs": b"\x1e",
               "cr": b"\r", "crlf": b"\r\n"}
+LONG_HEADER = b"#" * 70_000 + b"\n"
+LONE_INPUTS = {
+    "long_header_65.edges": LONG_HEADER + b"65\n0 1\n2 2\n",
+    "long_header_5.edges": LONG_HEADER + b"5\n0 1\n1 2\n3 4\n",
+    "empty.edges": b"",
+    "whitespace.edges": b" \n\t\r\n",
+    "empty.g6": b"",
+    "whitespace.g6": b" \n\t\r\n",
+}
 
 
 def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
@@ -125,6 +138,15 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
         for argv in commands:
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, argv + flags))
+    lone = work / own / "lone"
+    lone.mkdir()
+    for name, data in LONE_INPUTS.items():
+        (lone / name).write_bytes(data)
+        fmt = "edges" if name.endswith(".edges") else "g6"
+        for command in ("gamma", "count"):
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, [command, "--in", f"lone/{name}", "--format", fmt,
+                                   *flags]))
     return runs
 
 

@@ -163,6 +163,25 @@ class TestGammaAndCount:
             code, _, err = run(capsys, "gamma", "--in", str(path), "--format", fmt)
             assert code == 2 and "parse error" in err
 
+    def test_count_checks_the_cap_after_a_long_header(self, capsys, tmp_path):
+        path = tmp_path / "long.edges"
+        path.write_text("#" * 70_000 + "\n65\n0 1\n2 2\n")
+        argv = ["--in", str(path), "--format", "edges"]
+        code, report, err = run(capsys, "count", *argv)
+        assert code == 4 and report is None
+        assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
+        code, _, err = run(capsys, "gamma", *argv)
+        assert code == 2 and err == "domcount: parse error: loop 2-2 on line 4\n"
+
+    @pytest.mark.parametrize("command", ["gamma", "count"])
+    @pytest.mark.parametrize("text", ["", " \n\t\r\n"], ids=["empty", "whitespace"])
+    def test_blank_graph6_input_is_a_parse_error(self, capsys, tmp_path, command, text):
+        path = tmp_path / "blank.g6"
+        path.write_text(text, newline="")
+        code, report, err = run(capsys, command, "--in", str(path))
+        assert code == 2 and report is None
+        assert err == "domcount: parse error: no graph6 record found in input\n"
+
     def test_count_past_the_vertex_cap_keeps_its_message(self, capsys, tmp_path):
         path = tmp_path / "huge.edges"
         path.write_text("5000\n0 1\n")

@@ -50,6 +50,13 @@ class TestRowMaskConstructions:
             multipartite_reference(part_sizes).rows
         )
 
+    @pytest.mark.parametrize("part_sizes", [[0], [2, 0, 3], [3, -1]])
+    def test_complete_multipartite_refuses_an_empty_part(self, part_sizes):
+        with pytest.raises(
+            InfeasibleOrderError, match="^every part must have at least one vertex$"
+        ):
+            complete_multipartite(part_sizes)
+
     @pytest.mark.parametrize("r", range(4, 41))
     def test_pair_extremal_matches_edge_by_edge(self, r):
         if r % 2:
@@ -246,6 +253,10 @@ class TestBuiltGraphs:
                 continue
             assert domination_number(graph) == x
             assert count_sets(graph, x, "dominating") == plan.total_count
+
+    def test_plan_without_components(self):
+        with pytest.raises(InfeasibleOrderError, match="^plan has no components$"):
+            graph_from_plan(PartitionPlan(0, 0, ()))
 
     def test_plan_graph_round_trip(self):
         plan = component_plan(11, 5)

@@ -20,7 +20,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import tied_stream
-from domcount import complete_graph, count_sets, from_edges, new_graph, write_graph6
+from domcount import (
+    complete_graph,
+    count_sets,
+    extremal_scan,
+    from_edges,
+    iter_graph6,
+    new_graph,
+    write_graph6,
+)
 from domcount.cli import run_cli
 from domcount.scanning import SCAN_BLOCK, scan_corpus
 from scan_oracle import oracle_scan_corpus
@@ -55,15 +63,16 @@ def random_record(rng, n, density=None):
 
 
 def mutate(record, kind, n, rng):
-    """One malformed or non-canonical variant of a canonical record."""
+    """One malformed or non-canonical variant of a canonical record, or of
+    a line an earlier mutation left, which "truncated" can leave empty."""
     if kind == "header":
         return b">>graph6<<" + record
     if kind == "padding":
-        if comb(n, 2) % 6 == 0:
+        if comb(n, 2) % 6 == 0 or not record:
             return record + b"?"
         return record[:-1] + bytes([(record[-1] - 63 | 1) + 63])
     if kind == "out_of_range":
-        at = rng.randrange(len(record))
+        at = rng.randrange(len(record) or 1)
         return record[:at] + bytes([rng.choice([32, 33, 62, 127])]) + record[at + 1 :]
     if kind == "truncated":
         return record[:-1]
@@ -210,9 +219,14 @@ def test_tied_maximizers(n, mode):
 
 
 def api_outcome(scan, corpus, mode, strict):
-    """What ``scan`` did on corpus bytes read as the CLI reads them: the
-    record or the error, and every warning message in order."""
+    """What ``scan`` did on corpus bytes read as the CLI reads them."""
     lines = io.TextIOWrapper(io.BytesIO(corpus), encoding="ascii")
+    return lines_outcome(scan, lines, mode, strict)
+
+
+def lines_outcome(scan, lines, mode, strict):
+    """What ``scan`` did on corpus lines: the record or the error, and every
+    warning message in order."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -248,6 +262,43 @@ class TestWarningsAgainstOracle:
         assert (outcome, caught) == api_outcome(
             oracle_scan_corpus, corpus, "dominating", False
         )
+
+
+def scan_graph6(lines, mode, strict):
+    return extremal_scan(iter_graph6(lines, strict), mode)
+
+
+class TestLineTypes:
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_bytes_lines_scan_as_str_lines(self, mode, strict, malformed):
+        """Canonical bytes lines are read from their bytes, as str lines
+        are, with the same record, errors and warnings as ``iter_graph6``."""
+        rng = random.Random(11)
+        lines = [random_record(rng, 8) for _ in range(40)]
+        lines[20] = mutate(lines[20], "padding", 8, rng)
+        if malformed:
+            lines[30] = mutate(lines[30], "truncated", 8, rng)
+        as_bytes = [line + b"\n" for line in lines]
+        as_str = [line.decode("ascii") for line in as_bytes]
+        want = lines_outcome(scan_graph6, as_str, mode, strict)
+        assert lines_outcome(scan_graph6, as_bytes, mode, strict) == want
+        assert lines_outcome(scan_corpus, as_str, mode, strict) == want
+        assert lines_outcome(scan_corpus, as_bytes, mode, strict) == want
+        assert (type(want[0]) is tuple) == (strict or malformed)
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_non_ascii_line_of_canonical_length(self, mode):
+        """A str line of a canonical record's length with a non-ASCII
+        character sends its block to the parser, which refuses that line."""
+        rng = random.Random(12)
+        lines = [random_record(rng, 8).decode("ascii") + "\n" for _ in range(40)]
+        lines[25] = "G\u00e9" + lines[25][2:]
+        assert len(lines[25]) == len(lines[24])
+        outcome = lines_outcome(scan_corpus, lines, mode, True)
+        assert outcome == lines_outcome(oracle_scan_corpus, lines, mode, True)
+        assert outcome[0][0] == "GraphParseError" and "non-ASCII" in outcome[0][1]
 
 
 class TestOrderChecks:

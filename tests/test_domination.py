@@ -124,6 +124,24 @@ class TestCountSets:
         with pytest.raises(ValueError):
             count_sets(new_graph(1), 1, "both")
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g: count_sets(g, -1, "dominating"),
+             "subset size must be nonnegative, got -1"),
+            (lambda g: count_sets_with_witnesses(g, -2, "total", 5),
+             "subset size must be nonnegative, got -2"),
+            (lambda g: count_sets_with_witnesses(g, 2, "dominating", -1),
+             "witness_cap must be nonnegative"),
+            (lambda g: count_minimum(g, "total", witness_cap=-1),
+             "witness_cap must be nonnegative"),
+        ],
+    )
+    def test_negative_size_or_witness_cap(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call(cycle(4))
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
 
 class TestCountMinimum:
     def test_cycle_dominating(self):

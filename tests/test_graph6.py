@@ -264,14 +264,15 @@ class TestDeclaredOrder:
         else:
             assert parsed.n == order
 
-    def test_edge_list_count_line_past_the_peek(self):
+    def test_edge_list_count_line_after_a_long_header(self):
+        """The count line is found however far into the text it starts."""
         text = "#" * 70_000 + "\n9\n"
         assert parse_edge_list(text).n == 9
-        assert edge_list_order(text) is None
-        # the peek ends inside the count line "70": its "7" is not read as n
+        assert edge_list_order(text) == 9
+        # the count line "70" straddles the first 64 KiB: read whole, not "7"
         text = "#" * ((1 << 16) - 2) + "\n70\n0 1\n"
         assert parse_edge_list(text).n == 70
-        assert edge_list_order(text) is None
+        assert edge_list_order(text) == 70
         text = "9\n" + "0 1\n" * 20_000
         assert edge_list_order(text) == 9
 

@@ -1,3 +1,4 @@
+import inspect
 from functools import reduce
 
 import pytest
@@ -7,6 +8,9 @@ import edge_list_oracle
 from conftest import labeled_graphs, relabel
 from domcount import (
     MAX_VERTICES,
+    DominationReport,
+    EfficiencyReport,
+    ExtremalRecord,
     GraphBuilder,
     InfeasibleOrderError,
     InvalidEdgeError,
@@ -171,3 +175,36 @@ class TestVertexSet:
         s = VertexSet(4, 0b1010)
         assert 1 in s and 3 in s and 0 not in s
         assert list(s) == [1, 3]
+
+
+class TestFieldBinding:
+    """The result records have no constructor of their own: ``Frozen``
+    binds their fields by position or by name."""
+
+    RECORDS = [DominationReport, ExtremalRecord, EfficiencyReport]
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_position_name_and_mixed_binding_agree(self, cls):
+        names = cls.__slots__
+        values = tuple(range(len(names)))
+        by_position = cls(*values)
+        assert by_position == cls(**dict(zip(names, values)))
+        assert by_position == cls(values[0], **dict(zip(names[1:], values[1:])))
+        assert tuple(getattr(by_position, name) for name in names) == values
+        assert str(inspect.signature(cls)) == "(*args, **kwargs)"
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_any_other_call_names_the_fields(self, cls):
+        names = cls.__slots__
+        values = tuple(range(len(names)))
+        message = f"^{cls.__name__}\\(\\) takes the fields {', '.join(names)}$"
+        for args, kwargs in [
+            (values[:-1], {}),
+            (values + (0,), {}),
+            (values, {"extra": 0}),
+            (values, {names[0]: 0}),
+            (values[:-1], {names[0]: 0}),
+            ((), {**dict(zip(names, values)), "extra": 0}),
+        ]:
+            with pytest.raises(TypeError, match=message):
+                cls(*args, **kwargs)
