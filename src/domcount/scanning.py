@@ -2,31 +2,39 @@
 
 Every scan asks one question -- the largest number of (total) dominating
 pairs among graphs of one order with domination number exactly 2 -- of one
-kernel, :func:`pair_counts`.  It takes a block of graphs bit-sliced into
+kernel, :func:`pair_counts`.  It takes blocks of graphs bit-sliced into
 Python ints (Biham, "A fast new DES implementation in software", FSE
 1997): lane g of an int stands for graph g, and the *edge plane* of a
 vertex pair has lane g set when graph g has that edge.  A block costs
 O(n^3) whole-int AND, OR and XOR operations, so the interpreter's cost is
-paid per block, not per graph.  :class:`PairMaximum` folds blocks into the
-running maximum, its byte-smallest graph6 witness and the number of graphs
-scanned.  Three entry points feed it edge planes, one per pair in
-:func:`pair_order`, and give identical records on identical inputs:
+paid per block, not per graph.  The kernel takes a run of aligned blocks
+that share their low edge planes, with every higher plane all set or all
+clear in a block: each pair's product over the shared planes is taken
+once per run, and a block pays only for the factors its constant planes
+leave.  :class:`PairMaximum` folds runs into the running maximum, its
+byte-smallest graph6 witness and the number of graphs scanned.  Three
+entry points feed it edge planes, one per pair in :func:`pair_order`, and
+give identical records on identical inputs:
 
 * ``scan_labeled`` -- every labeled graph of an order through n = 7
-  (2^21 graphs), as the bit planes of consecutive edge masks, built by a
-  recurrence on whole ints (:func:`edge_mask_blocks`);
+  (2^21 graphs) as one run: blocks of 2^k consecutive edge masks share
+  the k planes of the lane number (:func:`counter_planes`), and the
+  block's start sets the rest;
 * ``extremal_scan`` -- a stream of ``Graph`` objects of one order, in
-  blocks of ``SCAN_BLOCK``, with planes read from the graphs' rows;
-* ``scan_corpus`` -- graph6 corpus lines.  Canonical records are read
-  straight from their bytes, one byte column of a block at a time; any
-  other line goes through ``parse_graph6``, in file order.
+  blocks of ``SCAN_BLOCK``, with planes read from the graphs' rows, each
+  a run of one block with no constant plane;
+* ``scan_corpus`` -- graph6 corpus lines, likewise.  Canonical records
+  are read straight from their bytes, one byte column of a block at a
+  time; any other line goes through ``parse_graph6``, in file order.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterable, Iterator
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
@@ -37,12 +45,19 @@ from .graphs import Frozen, Graph, from_edges, select_bits
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
 
-# Labeled graphs per kernel call, as a power of two.  Planes of 2^17 lanes
-# (16 KiB) keep a block's few dozen live planes within a core's L2 cache: on
-# a 2-vCPU x86 VM with 2 MiB of L2 per core, scan_labeled(7) takes 17-20 ms
-# in a fresh process against 28-30 ms with all of order 7 in one block (2^21
-# lanes), at 11 MB less peak RSS.
-CHUNK_BITS = 17
+# Labeled graphs per block, as a power of two.  scan_labeled(7) keeps about
+# 60 planes of a block's size live: the shared lane planes, each pair's and
+# vertex's product over them, and the adder tree's.  Fresh processes on a
+# 2-vCPU x86 VM with 2 MiB of L2 per core, median of 12 runs, dominating /
+# total, and peak RSS:
+#   2^15 lanes  4.6 / 4.2 ms    15.3 MB
+#   2^16        4.0 / 4.0 ms    15.2 MB
+#   2^17        4.7 / 4.6 ms    15.7 MB
+#   2^18        6.5 / 6.7 ms    17.2 MB
+#   2^19        9.4 / 11.3 ms   20.5 MB
+#   2^20       17.3 / 17.8 ms   26.8 MB
+#   2^21       29.4 / 31.7 ms   33.8-37.1 MB (all of order 7 in one block)
+CHUNK_BITS = 16
 
 # Graphs (or corpus lines) per kernel call outside the labeled enumeration.
 # Measured on 25 000 order-8 records (2-vCPU x86, best of 7): 1024-line
@@ -74,18 +89,6 @@ def counter_planes(start: int, k: int, bits: int) -> list[int]:
         plane ^= plane >> (1 << e)
         index[e] = plane
     return index + [lanes if start >> e & 1 else 0 for e in range(k, bits)]
-
-
-def edge_mask_blocks(n: int) -> Iterator[tuple[range, list[int]]]:
-    """Every labeled graph on n vertices in edge-mask counter order, as
-    blocks of (edge masks, edge planes): lane g of plane e is bit e of
-    mask ``masks[g]``, the edge ``pair_order(n)[e]``.  Block i holds the
-    2^k masks from i * 2^k on, for k the smaller of ``CHUNK_BITS`` (read at
-    call time) and C(n, 2)."""
-    m = comb(n, 2)
-    k = min(CHUNK_BITS, m)
-    for start in range(0, 1 << m, 1 << k):
-        yield range(start, start + (1 << k)), counter_planes(start, k, m)
 
 
 def lane_sum(planes: Iterable[int]) -> list[int]:
@@ -133,44 +136,37 @@ def smallest_reversed(lanes: int, planes: list[int]) -> int:
     read from plane 0 up, are smallest.  Of lanes tied on every plane, the
     highest is returned; they hold the same graph, so any would do."""
     for plane in planes:
-        rest = lanes & ~plane
+        rest = lanes ^ (lanes & plane)
         if rest:
             lanes = rest
     return lanes.bit_length() - 1
 
 
-def adjacency(n: int, planes: list[int]) -> list[list[int]]:
-    """Edge planes, one per pair in ``pair_order(n)``, as an n x n matrix
-    (the diagonal is 0)."""
-    adj = [[0] * n for _ in range(n)]
-    for (i, j), plane in zip(pair_order(n), planes):
-        adj[i][j] = adj[j][i] = plane
-    return adj
-
-
-def no_dominating_vertex(adj: list[list[int]], lanes: int) -> int:
-    """The ``lanes`` whose graph has no vertex adjacent to all the others,
-    i.e. domination number >= 2."""
-    found = 0
-    for v, row in enumerate(adj):
-        plane = lanes
-        for w, edge in enumerate(row):
-            if w != v:
-                plane &= edge
-                if not plane:
-                    break
-        found |= plane
-    return lanes & ~found
+def _products(
+    pairs: list[tuple[int, list[tuple[int, int]]]], start: int
+) -> Iterator[int]:
+    """The nonzero products split by :func:`pair_counts`, in the block at
+    ``start``: each ``fixed`` ANDed with the plane of every (mask, plane)
+    of its ``rest`` whose mask has no bit set in ``start``."""
+    for fixed, rest in pairs:
+        for mask, plane in rest:
+            if not start & mask:
+                fixed &= plane
+        if fixed:
+            yield fixed
 
 
 def pair_counts(
-    n: int, planes: list[int], lanes: int, mode: str
-) -> tuple[list[int], int]:
-    """The γ=2 kernel.  For a block of order-n graphs given as edge
-    planes, one per pair in ``pair_order(n)``, and the set ``lanes`` of
-    lanes that hold a graph, return each graph's number of (total)
-    dominating pairs as binary digit planes, and the lanes that compete
-    for the maximum.
+    n: int, planes: list[int], lanes: int, mode: str, starts: Iterable[int]
+) -> Iterator[tuple[int, list[int], int]]:
+    """The γ=2 kernel, over a run of aligned blocks of order-n graphs that
+    share their low planes.  Edge e of ``pair_order(n)`` has the plane
+    ``planes[e]`` in every block for e < len(planes); from there up it is
+    constant in a block: every lane set in the block at ``start`` when bit
+    e of ``start`` is set, none when it is clear.  ``lanes`` is the set of
+    lanes that hold a graph; other lanes of ``planes`` are ignored.
+    Yields, per start, each graph's number of (total) dominating pairs as
+    binary digit planes, and the lanes that compete for the maximum.
 
     A pair {a, b} dominates a lane when, for every other vertex w, the lane
     is set in ``E[a,w] | E[b,w]``; a total dominating pair must also be an
@@ -179,29 +175,60 @@ def pair_counts(
     exactly 2 in either mode (a total dominating pair is also dominating).
     A graph with an isolated vertex has no total dominating pair, so it
     never competes in total mode.
+
+    Each of these products is split once per run.  ``fixed`` is its value
+    in a block where every constant plane is set, so that the factors over
+    a constant plane are no-ops in it.  Where the constant planes of such a
+    factor are clear, it is the OR of its shared planes, or zero if it has
+    none: ``rest`` holds it as the mask of its constant edges and that
+    plane.  So a block pays only for ``rest``.  A vertex's product has no
+    shared plane in such a factor, so its ``rest`` is one mask: it holds in
+    the blocks that have all of it set.
     """
-    adj = adjacency(n, planes)
-    digits = lane_sum(_dominating_pairs(adj, lanes, mode))
-    qualified = 0
-    for digit in digits:
-        qualified |= digit
-    return digits, qualified & no_dominating_vertex(adj, lanes)
+    shared = len(planes)
+    # E[v,w], with every lane set at w = v and on a constant edge's plane
+    closed = [[lanes] * n for _ in range(n)]
+    masks = [[0] * n for _ in range(n)]  # 1 << e for a constant edge e, else 0
+    for e, (i, j) in enumerate(pair_order(n)):
+        if e < shared:
+            closed[i][j] = closed[j][i] = planes[e]
+        else:
+            masks[i][j] = masks[j][i] = 1 << e
+    needs = [sum(row) for row in masks]
+    vertices = [(reduce(and_, row), need) for row, need in zip(closed, needs)]
 
+    def clear(v: int, w: int) -> int:
+        """E[v,w] in a block where its plane is clear if it is constant."""
+        return 0 if masks[v][w] else closed[v][w]
 
-def _dominating_pairs(
-    adj: list[list[int]], lanes: int, mode: str
-) -> Iterator[int]:
-    """Per pair {a, b}, the lanes it (totally) dominates."""
-    n = len(adj)
+    total = mode == "total"
+    pairs = []
     for a, b in combinations(range(n), 2):
-        plane = adj[a][b] if mode == "total" else lanes
-        row_a, row_b = adj[a], adj[b]
+        row_a, row_b = closed[a], closed[b]
+        fixed, rest = lanes, []
         for w in range(n):
             if w != a and w != b:
-                plane &= row_a[w] | row_b[w]
-                if not plane:
-                    break
-        yield plane
+                fixed &= row_a[w] | row_b[w]
+        if needs[a] | needs[b]:
+            for w in range(n):
+                mask = masks[a][w] | masks[b][w]
+                if mask and w != a and w != b:
+                    rest.append((mask, clear(a, w) or clear(b, w)))
+        if total:
+            fixed &= closed[a][b]
+            if masks[a][b]:
+                rest.append((masks[a][b], 0))
+        pairs.append((fixed, rest))
+    for start in starts:
+        digits = lane_sum(_products(pairs, start))
+        qualified = 0
+        for digit in digits:
+            qualified |= digit
+        dominated = 0
+        for fixed, need in vertices:
+            if start & need == need:
+                dominated |= fixed
+        yield start, digits, qualified ^ (qualified & dominated)
 
 
 # Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs
@@ -230,23 +257,25 @@ _NEWLINE = _bad_table([ord("\n")])
 
 
 def line_blocks(lines: Iterable[str | bytes]) -> Iterator[list[str | bytes]]:
-    """Lines in blocks of at most ``SCAN_BLOCK``.
+    """Lines in blocks of ``SCAN_BLOCK``, the last one shorter.
 
     A failed read (for example a byte the text decoder rejects) is raised
-    only after the block read before it has been handed out, so an error in
-    an earlier line still comes first, as when lines are taken one by one.
+    only after the lines read before it in its block have been handed out
+    (``list.extend`` keeps what it appended before the error), so an error
+    in an earlier line still comes first, as when lines are taken one by
+    one.
     """
-    block: list[str | bytes] = []
-    try:
-        for line in lines:
-            block.append(line)
-            if len(block) == SCAN_BLOCK:
-                yield block
-                block = []
-    except Exception:
+    stream = iter(lines)
+    while True:
+        block: list[str | bytes] = []
+        try:
+            block.extend(islice(stream, SCAN_BLOCK))
+        except Exception:
+            yield block
+            raise
         yield block
-        raise
-    yield block
+        if len(block) < SCAN_BLOCK:
+            return
 
 
 class PairMaximum:
@@ -288,24 +317,31 @@ class PairMaximum:
             self._checks[-1] = (size - 1, _bad_table(good))
         self._checks.append((size, _NEWLINE))
 
-    def add_planes(self, planes: list[int], lanes: int) -> None:
-        """Fold in a block of graphs given as edge planes, with ``lanes``
-        the lanes that hold a graph.  graph6 body bits follow
+    def add_run(self, planes: list[int], lanes: int, starts: Iterable[int]) -> None:
+        """Fold in a run of aligned blocks of graphs that share their low
+        planes, as :func:`pair_counts` takes them, with ``lanes`` the lanes
+        that hold a graph in each block.  graph6 body bits follow
         ``pair_order``, most significant first, so among records of one
         order the byte-smallest has the smallest bit-reversed edge mask:
-        only that maximizer's record is written, from its planes."""
-        self.scanned += lanes.bit_count()
-        digits, competes = pair_counts(self.n, planes, lanes, self.mode)
-        if not competes:
-            return
-        top, maximizers = maximum(digits, competes)
-        if top < self.count:
-            return
-        lane = smallest_reversed(maximizers, planes)
-        mask = sum((plane >> lane & 1) << k for k, plane in enumerate(planes))
-        witness = write_graph6(graph_from_edge_mask(self.n, mask))
-        if top > self.count or witness < self.witness:
-            self.count, self.witness = top, witness
+        only that maximizer's record is written.  The planes above the
+        shared ones are constant in a block and cannot separate its lanes,
+        so the maximizer is found on the shared planes, and its mask is
+        ``start`` with its bits there."""
+        size = lanes.bit_count()
+        for start, digits, competes in pair_counts(
+            self.n, planes, lanes, self.mode, starts
+        ):
+            self.scanned += size
+            if not competes:
+                continue
+            top, maximizers = maximum(digits, competes)
+            if top < self.count:
+                continue
+            lane = smallest_reversed(maximizers, planes)
+            mask = start | sum((p >> lane & 1) << e for e, p in enumerate(planes))
+            witness = write_graph6(graph_from_edge_mask(self.n, mask))
+            if top > self.count or witness < self.witness:
+                self.count, self.witness = top, witness
 
     def add_graphs(self, graphs: Iterable[Graph]) -> None:
         """Take a block of graphs of the stream, in stream order: each is
@@ -340,7 +376,7 @@ class PairMaximum:
             _plane(columns[i][width - 1 - j // 8 :: width], _BIT[j % 8])
             for i, j in pair_order(self.n)
         ]
-        self.add_planes(planes, (1 << len(kept)) - 1)
+        self.add_run(planes, (1 << len(kept)) - 1, [0])
 
     def add_lines(self, block: list[str | bytes], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
@@ -359,29 +395,42 @@ class PairMaximum:
             if n is not None:
                 self.set_order(n)
         at, data, ok = self._canonical(block)
-        canonical = set(select_bits(ok, at))
-        rest = [line for i, line in enumerate(block) if i not in canonical]
-        self.add_graphs(iter_graph6(rest, strict))
+        if ok != (1 << len(block)) - 1:
+            canonical = set(select_bits(ok, at))
+            rest = [line for i, line in enumerate(block) if i not in canonical]
+            self.add_graphs(iter_graph6(rest, strict))
         if not ok:
             return
         stride = self._stride
         body = [data[p::stride][::-1] for p in self._body]
-        self.add_planes(
+        self.add_run(
             [_plane(body[k // 6], _SEXTET[k % 6]) for k in range(comb(self.n, 2))],
             ok,
+            [0],
         )
 
-    def _canonical(self, block: list[str | bytes]) -> tuple[list[int], bytes, int]:
-        """The lines of ``block`` with the length of a canonical record and
-        its newline, their bytes joined, and the lanes (one per such line)
-        that are canonical records."""
+    def _canonical(
+        self, block: list[str | bytes]
+    ) -> tuple[Sequence[int], bytes, int]:
+        """The positions in ``block`` of the lines with the length of a
+        canonical record and its newline, their bytes joined, and the lanes
+        (one per such line) that are canonical records.  A block that mixes
+        ``str`` and ``bytes`` lines of that length has none."""
         if not self._checks:
             return [], b"", 0
         stride = self._stride
-        at = [i for i, line in enumerate(block) if len(line) == stride]
-        if not at:
+        if set(map(len, block)) == {stride}:
+            at: Sequence[int] = range(len(block))
+            lines = block
+        else:
+            at = [i for i, line in enumerate(block) if len(line) == stride]
+            lines = [block[i] for i in at]
+        if not lines:
             return [], b"", 0
-        joined = block[at[0]][:0].join([block[i] for i in at])
+        try:
+            joined = lines[0][:0].join(lines)
+        except TypeError:
+            return [], b"", 0
         if not joined.isascii():
             return [], b"", 0
         data = joined.encode("ascii") if isinstance(joined, str) else joined
@@ -471,8 +520,8 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     """Bit-sliced :func:`extremal_scan` over all labeled graphs on n
     vertices (target domination number 2), with the same filter: only
     graphs with ordinary domination number exactly 2 compete.  Graphs go
-    through the kernel in blocks of 2^``CHUNK_BITS`` edge masks, read at
-    call time; the record does not depend on it."""
+    through the kernel as one run of blocks of 2^``CHUNK_BITS`` edge
+    masks, read at call time; the record does not depend on it."""
     best = PairMaximum(mode)
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
@@ -482,7 +531,7 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
     if n < 0:
         raise InfeasibleOrderError("vertex count must be nonnegative")
     best.set_order(n)
-    for masks, planes in edge_mask_blocks(n):
-        best.add_planes(planes, (1 << len(masks)) - 1)
-        del masks, planes  # freed before the next block is built
+    m = comb(n, 2)
+    k = min(CHUNK_BITS, m)
+    best.add_run(counter_planes(0, k, k), (1 << (1 << k)) - 1, range(0, 1 << m, 1 << k))
     return _record(best)

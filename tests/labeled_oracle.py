@@ -1,12 +1,15 @@
 """Test oracles over the labeled enumeration: every labeled graph of an
-order as a ``Graph``, and the largest edge count among those with
-domination number >= 2 (acceptance criterion 3).
+order as a ``Graph``, its edge planes block by block, and the largest edge
+count among graphs with domination number >= 2 (acceptance criterion 3).
 
 The package answers the γ=2 question over all labeled graphs with
-``scan_labeled`` alone; these serve the tests that check a per-graph
-property exhaustively or compare the closed form ``max_edges_gamma2``
-against a scan.  Both refuse the orders ``scan_labeled`` refuses, with the
-same errors.
+``scan_labeled`` alone, on runs of blocks that share their low planes;
+these serve the tests that check a per-graph property exhaustively or
+compare the closed form ``max_edges_gamma2`` against a scan.  The edge
+count works block by block, apart from the scan kernel's shared planes:
+every block gets its full list of edge planes (``edge_mask_blocks``), and
+the dominating-vertex filter runs on them.  The enumerations refuse the
+orders ``scan_labeled`` refuses, with the same errors.
 """
 
 from __future__ import annotations
@@ -21,13 +24,7 @@ from domcount import (
     graph_from_edge_mask,
     scanning,
 )
-from domcount.scanning import (
-    adjacency,
-    edge_mask_blocks,
-    lane_sum,
-    maximum,
-    no_dominating_vertex,
-)
+from domcount.scanning import counter_planes, lane_sum, maximum, pair_order
 
 
 def _check_enumeration(n: int) -> None:
@@ -38,6 +35,42 @@ def _check_enumeration(n: int) -> None:
         )
     if n < 0:
         raise InfeasibleOrderError("vertex count must be nonnegative")
+
+
+def edge_mask_blocks(n: int) -> Iterator[tuple[range, list[int]]]:
+    """Every labeled graph on n vertices in edge-mask counter order, as
+    blocks of (edge masks, edge planes): lane g of plane e is bit e of
+    mask ``masks[g]``, the edge ``pair_order(n)[e]``.  Block i holds the
+    2^k masks from i * 2^k on, for k the smaller of
+    ``scanning.CHUNK_BITS`` (read at call time) and C(n, 2)."""
+    m = comb(n, 2)
+    k = min(scanning.CHUNK_BITS, m)
+    for start in range(0, 1 << m, 1 << k):
+        yield range(start, start + (1 << k)), counter_planes(start, k, m)
+
+
+def adjacency(n: int, planes: list[int]) -> list[list[int]]:
+    """Edge planes, one per pair in ``pair_order(n)``, as an n x n matrix
+    (the diagonal is 0)."""
+    adj = [[0] * n for _ in range(n)]
+    for (i, j), plane in zip(pair_order(n), planes):
+        adj[i][j] = adj[j][i] = plane
+    return adj
+
+
+def no_dominating_vertex(adj: list[list[int]], lanes: int) -> int:
+    """The ``lanes`` whose graph has no vertex adjacent to all the others,
+    i.e. domination number >= 2."""
+    found = 0
+    for v, row in enumerate(adj):
+        plane = lanes
+        for w, edge in enumerate(row):
+            if w != v:
+                plane &= edge
+                if not plane:
+                    break
+        found |= plane
+    return lanes & ~found
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:

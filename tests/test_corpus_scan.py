@@ -30,7 +30,7 @@ from domcount import (
     write_graph6,
 )
 from domcount.cli import run_cli
-from domcount.scanning import SCAN_BLOCK, scan_corpus
+from domcount.scanning import SCAN_BLOCK, line_blocks, scan_corpus
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -282,10 +282,14 @@ class TestLineTypes:
             lines[30] = mutate(lines[30], "truncated", 8, rng)
         as_bytes = [line + b"\n" for line in lines]
         as_str = [line.decode("ascii") for line in as_bytes]
+        # one block with str and bytes lines of a canonical record's length
+        mixed = [line if i % 3 else as_bytes[i] for i, line in enumerate(as_str)]
         want = lines_outcome(scan_graph6, as_str, mode, strict)
         assert lines_outcome(scan_graph6, as_bytes, mode, strict) == want
+        assert lines_outcome(scan_graph6, mixed, mode, strict) == want
         assert lines_outcome(scan_corpus, as_str, mode, strict) == want
         assert lines_outcome(scan_corpus, as_bytes, mode, strict) == want
+        assert lines_outcome(scan_corpus, mixed, mode, strict) == want
         assert (type(want[0]) is tuple) == (strict or malformed)
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
@@ -299,6 +303,48 @@ class TestLineTypes:
         outcome = lines_outcome(scan_corpus, lines, mode, True)
         assert outcome == lines_outcome(oracle_scan_corpus, lines, mode, True)
         assert outcome[0][0] == "GraphParseError" and "non-ASCII" in outcome[0][1]
+
+
+class TestFailedRead:
+    """A read that fails in the middle of a block of lines."""
+
+    @staticmethod
+    def failing(lines, at):
+        """The lines, then a decode error in place of line ``at``."""
+        yield from lines[:at]
+        raise UnicodeDecodeError("ascii", b"\xc3", 0, 1, "ordinal not in range(128)")
+
+    def test_lines_read_before_the_error_are_handed_out(self):
+        lines = [f"{i}\n" for i in range(SCAN_BLOCK + 30)]
+        blocks = line_blocks(self.failing(lines, SCAN_BLOCK + 20))
+        assert next(blocks) == lines[:SCAN_BLOCK]
+        assert next(blocks) == lines[SCAN_BLOCK : SCAN_BLOCK + 20]
+        with pytest.raises(UnicodeDecodeError):
+            next(blocks)
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("kind", [None, "padding", "truncated"])
+    def test_an_earlier_line_comes_first(self, mode, kind):
+        # a malformed or padded record ten lines before the failed read, in
+        # the same block: its error or warning comes before the read's error
+        rng = random.Random(31)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(SCAN_BLOCK + 30)]
+        if kind:
+            lines[SCAN_BLOCK + 10] = mutate(lines[SCAN_BLOCK + 10], kind, 8, rng)
+        lines = [line.decode("ascii") + "\n" for line in lines]
+        for strict in (True, False):
+            outcome = lines_outcome(
+                scan_corpus, self.failing(lines, SCAN_BLOCK + 20), mode, strict
+            )
+            assert outcome == lines_outcome(
+                scan_graph6, self.failing(lines, SCAN_BLOCK + 20), mode, strict
+            )
+            parse_error = kind == "truncated" or kind == "padding" and strict
+            assert outcome[0][0] == (
+                "GraphParseError" if parse_error else "UnicodeDecodeError"
+            )
+            padded = kind == "padding" and not strict
+            assert outcome[1] == ["nonzero padding bits in graph6 record"] * padded
 
 
 class TestOrderChecks:

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tied_stream
-from labeled_oracle import enumerate_labeled_graphs, labeled_max_edges_gamma2
+from labeled_oracle import (
+    edge_mask_blocks,
+    enumerate_labeled_graphs,
+    labeled_max_edges_gamma2,
+)
 from scan_oracle import oracle_extremal_scan
 
 from domcount import (
@@ -28,7 +32,8 @@ from domcount import (
     write_graph6,
 )
 from domcount import scanning
-from domcount.scanning import edge_mask_blocks, lane_sum, maximum, pair_order
+from domcount.scanning import counter_planes, lane_sum, maximum, pair_counts
+from domcount.scanning import pair_order
 from domcount.scanning import smallest_reversed
 from domcount.scanning import CHUNK_BITS
 
@@ -120,6 +125,28 @@ class TestLaneSum:
             assert maximum(digits, (1 << lanes) - 1)[0] == top
 
 
+class TestSplitKernel:
+    """A run of blocks that share their low planes, against the same kernel
+    fed each block's full ``counter_planes`` as shared planes, with no
+    constant plane."""
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_run_matches_all_shared_planes(self, n, mode):
+        m = comb(n, 2)
+        rng = random.Random(n)
+        for k in sorted({0, 1, min(3, m), rng.randint(0, min(m, 12)), min(m, 12)}):
+            lanes = (1 << (1 << k)) - 1
+            starts = sorted({rng.randrange(1 << m) >> k << k for _ in range(6)})
+            run = list(pair_counts(n, counter_planes(0, k, k), lanes, mode, starts))
+            assert [start for start, _, _ in run] == starts
+            for start, digits, competes in run:
+                [(_, full, full_competes)] = pair_counts(
+                    n, counter_planes(start, k, m), lanes, mode, [0]
+                )
+                assert (digits, competes) == (full, full_competes), (k, start)
+
+
 class TestWitnessTies:
     """Every maximizer ties: the witness is the stream's byte-smallest
     record, whichever block and lane it falls in and however often it
@@ -153,11 +180,13 @@ class TestExtremalScan:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_stream_and_vectorized_paths_agree(self, n, mode, monkeypatch):
         # extremal_scan reads its planes from the graphs' rows, scan_labeled
-        # builds them from counters, in blocks of another size
+        # builds them from counters, in blocks of another size; blocks of
+        # 2^0 to 2^3 lanes leave almost every edge plane constant
         stream = extremal_scan(enumerate_labeled_graphs(n), mode)
         assert scan_labeled(n, mode) == stream
-        monkeypatch.setattr(scanning, "CHUNK_BITS", 7)
-        assert scan_labeled(n, mode) == stream
+        for bits in (0, 1, 2, 3, 7):
+            monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
+            assert scan_labeled(n, mode) == stream, bits
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -167,10 +196,11 @@ class TestExtremalScan:
         assert record.graphs_scanned == 1 << comb(n, 2)
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
-        baseline = scan_labeled(6, "total")
-        for bits in (7, 12, 20):
-            monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
-            assert scan_labeled(6, "total") == baseline
+        for mode in ("dominating", "total"):
+            baseline = extremal_scan(enumerate_labeled_graphs(6), mode)
+            for bits in (0, 1, 2, 3, 7, 12, 20):
+                monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
+                assert scan_labeled(6, mode) == baseline, (mode, bits)
 
     @pytest.mark.parametrize(
         "mode, record",
@@ -178,7 +208,7 @@ class TestExtremalScan:
     )
     def test_order_7_records(self, mode, record, monkeypatch):
         # golden values, as the former numpy kernel computed them
-        for bits in (CHUNK_BITS, 18, 21):
+        for bits in (10, CHUNK_BITS, 18, 21):
             monkeypatch.setattr(scanning, "CHUNK_BITS", bits)
             result = scan_labeled(7, mode)
             assert (result.max_count, result.witness, result.graphs_scanned) == record
