@@ -186,14 +186,19 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
         with _open_text(args.corpus) as handle:
-            # the first record, whose order --n must match; the scan starts there
-            first = next(graph6_records(handle), "")
+            # the lines up to the first record, whose order --n must match;
+            # the scan takes them as read
+            head, first = [], ""
+            for line in handle:
+                head.append(line)
+                if first := next(graph6_records([line]), ""):
+                    break
             order = graph6_order(first)
             if args.n is not None and order is not None and order != args.n:
                 raise MixedOrderError(
                     f"corpus has order {order}, --n {args.n} was requested"
                 )
-            record = scan_corpus(chain([first], handle), mode, strict=not args.lenient)
+            record = scan_corpus(chain(head, handle), mode, strict=not args.lenient)
     else:
         if args.n is None:
             raise InfeasibleOrderError("scan needs --n or --corpus")

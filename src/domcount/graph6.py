@@ -17,6 +17,11 @@ and joins the columns.  The parser lays the columns out as the lower
 triangle of a row-major n x n character matrix; row v is then its own slice
 of row v plus the strided slice down column v, so C does the transpose.
 
+A scan reads the canonical records of a block of lines at once
+(:func:`canonical_reader`): each byte column of the block is a strided
+slice, which one ``bytes.translate`` and ``int(..., 2)`` turn into a bit
+plane, one lane per line, to check a byte rule or to read an edge.
+
 The edge-list writer works on whole rows the same way.  Row u's neighbours
 above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
 digits select from a table of vertex labels, and one join writes the row's
@@ -29,7 +34,7 @@ import binascii
 import re
 import warnings
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, SizeLimitError
 from .graphs import MAX_VERTICES, Graph, select_bits
@@ -42,6 +47,7 @@ _TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 _TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 _BLANK = "\t\n\v\f\r\x1c\x1d\x1e\x1f "  # what str.strip() removes from ASCII
 _BLANK_BYTES = _BLANK.encode("ascii")
+
 
 def _decode_size(data: bytes, base: int) -> tuple[int, int]:
     """Decode the N(n) size field at ``base``; return (n, bytes consumed)."""
@@ -144,13 +150,16 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _size_field(n: int) -> bytes:
+    """The size field N(n) of a canonical record, n <= MAX_VERTICES < 258048."""
+    if n <= 62:
+        return bytes([n + 63])
+    return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+
+
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 record (no header, no newline) for ``g``."""
     n = g.n
-    if n <= 62:
-        out = [n + 63]
-    else:  # n <= MAX_VERTICES < 258048: the four-byte field
-        out = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     # Column j is the low j bits of rows[j], vertex 0 first.
     bits = "".join(
         format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
@@ -159,7 +168,77 @@ def write_graph6(g: Graph) -> str:
     bits += "0" * (-len(bits) % 24)  # whole base64 quads: no "=" padding
     words = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
     body = binascii.b2a_base64(words, newline=False)[:nbytes]
-    return (bytes(out) + body.translate(_TO_GRAPH6)).decode("ascii")
+    return (_size_field(n) + body.translate(_TO_GRAPH6)).decode("ascii")
+
+
+# Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs
+# of 2^t of each).
+_BIT = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
+# Per body bit t of a data byte (most significant first): b"1" where the
+# byte, less 63, has bit 5 - t set.  Bytes outside [63, 126] map to either.
+_SEXTET = [_BIT[5 - t][-63:] + _BIT[5 - t][:-63] for t in range(6)]
+
+
+def _plane(column: bytes, table: bytes) -> int:
+    """The plane whose lane g is ``table`` at byte g of ``column`` read
+    from the end (the last byte is lane 0)."""
+    return int(column.translate(table), 2)
+
+
+def _bad_table(good: Iterable[int]) -> bytes:
+    """b"0" for the bytes in ``good``, b"1" for the rest."""
+    accepted = set(good)
+    return bytes(b"10"[byte in accepted] for byte in range(256))
+
+
+def canonical_reader(
+    n: int,
+) -> Callable[[Sequence[str | bytes]], tuple[Sequence[int], int, list[int]]]:
+    """A reader of the canonical order-n records in a block of lines.
+
+    A line is a canonical record when it is ``write_graph6`` of a graph of
+    order n plus ``"\\n"``: that size field and length, every body byte in
+    [63, 126], zero padding bits and the newline.  Given a block, the
+    reader returns the positions of the lines of that length, the lanes
+    (lane i for position i) that hold canonical records, and the lines'
+    C(n, 2) edge planes in body (column-major) order.  A block that mixes
+    ``str`` and ``bytes`` lines of that length, or holds a non-ASCII one,
+    gets none of the three.
+    """
+    field = _size_field(n)
+    nbits = comb(n, 2)
+    body = range(len(field), len(field) + (nbits + 5) // 6)
+    stride = body.stop + 1
+    in_range = _bad_table(_GRAPH6_DIGITS)
+    checks = [(p, _bad_table([byte])) for p, byte in enumerate(field)]
+    checks += [(p, in_range) for p in body]
+    if padding := (1 << 6 * len(body) - nbits) - 1:
+        good = [byte for byte in _GRAPH6_DIGITS if not (byte - 63) & padding]
+        checks[-1] = (body.stop - 1, _bad_table(good))
+    checks.append((body.stop, _bad_table(b"\n")))
+
+    def read(block: Sequence[str | bytes]) -> tuple[Sequence[int], int, list[int]]:
+        if set(map(len, block)) == {stride}:
+            at: Sequence[int] = range(len(block))
+            lines = block
+        else:
+            at = [i for i, line in enumerate(block) if len(line) == stride]
+            lines = [block[i] for i in at]
+        try:
+            joined = lines[0][:0].join(lines)
+        except (IndexError, TypeError):  # no such line, or str and bytes
+            return [], 0, []
+        if not joined.isascii():
+            return [], 0, []
+        data = joined.encode("ascii") if isinstance(joined, str) else joined
+        columns = [data[p::stride][::-1] for p in range(stride)]
+        bad = 0
+        for p, table in checks:
+            bad |= _plane(columns[p], table)
+        planes = [_plane(columns[body[k // 6]], _SEXTET[k % 6]) for k in range(nbits)]
+        return at, ((1 << len(at)) - 1) & ~bad, planes
+
+    return read
 
 
 def text_lines(text: str) -> list[str]:

@@ -18,28 +18,29 @@ give identical records on identical inputs:
 
 * ``scan_labeled`` -- every labeled graph of an order through n = 7
   (2^21 graphs) as one run: blocks of 2^k consecutive edge masks share
-  the k planes of the lane number (:func:`counter_planes`), and the
+  the k planes of the lane number (:func:`lane_planes`), and the
   block's start sets the rest;
 * ``extremal_scan`` -- a stream of ``Graph`` objects of one order, in
-  blocks of ``SCAN_BLOCK``, with planes read from the graphs' rows, each
-  a run of one block with no constant plane;
+  blocks of ``SCAN_BLOCK`` (:func:`in_blocks`), with planes read from the
+  graphs' rows, each a run of one block with no constant plane;
 * ``scan_corpus`` -- graph6 corpus lines, likewise.  Canonical records
-  are read straight from their bytes, one byte column of a block at a
-  time; any other line goes through ``parse_graph6``, in file order.
+  are read straight from their bytes by ``graph6.canonical_reader``; any
+  other line goes through ``parse_graph6``, in file order.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import comb
-from operator import and_
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterable, Iterator, TypeVar
 
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
-from .graph6 import graph6_order, graph6_records, iter_graph6, write_graph6
+from .graph6 import _BIT, _plane, canonical_reader, graph6_order, graph6_records
+from .graph6 import iter_graph6, write_graph6
 from .graphs import Frozen, Graph, from_edges, select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
@@ -60,9 +61,11 @@ ENUMERATION_MAX_N = 7
 CHUNK_BITS = 16
 
 # Graphs (or corpus lines) per kernel call outside the labeled enumeration.
-# Measured on 25 000 order-8 records (2-vCPU x86, best of 7): 1024-line
-# blocks scan in 16-20 ms, 256- and 512-line blocks in 23-28 ms and 2048-
-# and 4096-line blocks in 18-20 ms; peak RSS is within 0.3 MB for all.
+# `scan --corpus` on 25 000 order-8 records (2-vCPU x86, fresh processes,
+# median of 9; scan ms dominating / total, then peak RSS): 256 lines 13.2 /
+# 13.3 ms 14.7 MB, 512 10.9 / 9.9 ms 14.7 MB, 1024 7.3 / 7.6 ms 14.9 MB,
+# 2048 6.5 / 6.5 ms 15.0 MB, 4096 6.0 / 6.1 ms 15.4 MB, 8192 6.1 / 6.0 ms
+# 15.9 MB.  Past 1024 each doubling saves at most 1 ms and adds peak RSS.
 SCAN_BLOCK = 1024
 
 
@@ -72,23 +75,20 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
 
 
-def counter_planes(start: int, k: int, bits: int) -> list[int]:
-    """Bit planes 0 .. bits-1 of the counter start, start+1, ...,
-    start+2^k-1, for k <= bits and ``start`` a multiple of 2^k: lane g of
-    plane e holds bit e of start + g.
+def lane_planes(k: int) -> list[int]:
+    """Bit planes 0 .. k-1 of the lane number over 2^k lanes: lane g of
+    plane e holds bit e of g.
 
-    Below k these are the planes of the lane number g, built from the top
-    one down: plane e is ``P ^ (P >> 2**e)`` for P plane e+1, or every lane
-    set at e = k-1, which gives plane k-1 its clear low half and set high
-    half.  From k up, lane g adds nothing, so plane e has every lane set or
-    every lane clear, as bit e of ``start``.
+    They are built from the top one down: plane e is ``P ^ (P >> 2**e)``
+    for P plane e+1, or every lane set at e = k-1, which gives plane k-1
+    its clear low half and set high half.
     """
-    lanes = plane = (1 << (1 << k)) - 1
-    index = [0] * k
+    plane = (1 << (1 << k)) - 1
+    planes = [0] * k
     for e in range(k - 1, -1, -1):
         plane ^= plane >> (1 << e)
-        index[e] = plane
-    return index + [lanes if start >> e & 1 else 0 for e in range(k, bits)]
+        planes[e] = plane
+    return planes
 
 
 def lane_sum(planes: Iterable[int]) -> list[int]:
@@ -194,8 +194,7 @@ def pair_counts(
             closed[i][j] = closed[j][i] = planes[e]
         else:
             masks[i][j] = masks[j][i] = 1 << e
-    needs = [sum(row) for row in masks]
-    vertices = [(reduce(and_, row), need) for row, need in zip(closed, needs)]
+    vertices = [(reduce(and_, row), sum(mask)) for row, mask in zip(closed, masks)]
 
     def clear(v: int, w: int) -> int:
         """E[v,w] in a block where its plane is clear if it is constant."""
@@ -204,15 +203,11 @@ def pair_counts(
     total = mode == "total"
     pairs = []
     for a, b in combinations(range(n), 2):
-        row_a, row_b = closed[a], closed[b]
         fixed, rest = lanes, []
         for w in range(n):
             if w != a and w != b:
-                fixed &= row_a[w] | row_b[w]
-        if needs[a] | needs[b]:
-            for w in range(n):
-                mask = masks[a][w] | masks[b][w]
-                if mask and w != a and w != b:
+                fixed &= closed[a][w] | closed[b][w]
+                if mask := masks[a][w] | masks[b][w]:
                     rest.append((mask, clear(a, w) or clear(b, w)))
         if total:
             fixed &= closed[a][b]
@@ -221,9 +216,7 @@ def pair_counts(
         pairs.append((fixed, rest))
     for start in starts:
         digits = lane_sum(_products(pairs, start))
-        qualified = 0
-        for digit in digits:
-            qualified |= digit
+        qualified = reduce(or_, digits, 0)
         dominated = 0
         for fixed, need in vertices:
             if start & need == need:
@@ -231,43 +224,22 @@ def pair_counts(
         yield start, digits, qualified ^ (qualified & dominated)
 
 
-# Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs
-# of 2^t of each).
-_BIT = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
-# Per graph6 body bit t (most significant first): b"1" where the byte,
-# less 63, has bit 5 - t set; byte - 63 agrees with byte + 193 in its low
-# eight bits.  Bytes outside [63, 126] map to either.
-_SEXTET = [_BIT[5 - t][193:] + _BIT[5 - t][:193] for t in range(6)]
+_T = TypeVar("_T")
 
 
-def _plane(column: bytes, table: bytes) -> int:
-    """The plane whose lane g is ``table`` at byte g of ``column`` read
-    from the end (the last byte is lane 0)."""
-    return int(column.translate(table), 2)
+def in_blocks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """Items (corpus lines or graphs) in blocks of ``SCAN_BLOCK``, the last
+    one shorter.
 
-
-def _bad_table(good: Iterable[int]) -> bytes:
-    """b"0" for the bytes in ``good``, b"1" for the rest."""
-    accepted = set(good)
-    return bytes(b"10"[byte in accepted] for byte in range(256))
-
-
-_IN_RANGE = _bad_table(range(63, 127))
-_NEWLINE = _bad_table([ord("\n")])
-
-
-def line_blocks(lines: Iterable[str | bytes]) -> Iterator[list[str | bytes]]:
-    """Lines in blocks of ``SCAN_BLOCK``, the last one shorter.
-
-    A failed read (for example a byte the text decoder rejects) is raised
-    only after the lines read before it in its block have been handed out
-    (``list.extend`` keeps what it appended before the error), so an error
-    in an earlier line still comes first, as when lines are taken one by
-    one.
+    A failed read (for example a byte the text decoder rejects, or a record
+    ``parse_graph6`` refuses) is raised only after the items read before it
+    in its block have been handed out (``list.extend`` keeps what it
+    appended before the error), so an error in an earlier item still comes
+    first, as when items are taken one by one.
     """
-    stream = iter(lines)
+    stream = iter(items)
     while True:
-        block: list[str | bytes] = []
+        block: list[_T] = []
         try:
             block.extend(islice(stream, SCAN_BLOCK))
         except Exception:
@@ -282,8 +254,8 @@ class PairMaximum:
     """Running γ=2 maximum over a stream of graphs of one order: the
     largest (total) dominating pair count among graphs with domination
     number exactly 2, its byte-smallest graph6 witness, and the number of
-    graphs seen.  The order is the first graph's or the first record's,
-    unless :meth:`set_order` is called first."""
+    graphs seen.  The order ``n`` is the first graph's or the first
+    record's, unless it is set first."""
 
     def __init__(self, mode: str):
         check_mode(mode)
@@ -292,30 +264,7 @@ class PairMaximum:
         self.count = 0
         self.witness: str | None = None
         self.scanned = 0
-        self._stride = 0
-        self._body = range(0)
-        self._checks: list[tuple[int, bytes]] = []
-
-    def set_order(self, n: int) -> None:
-        """Fix the stream's order and the layout of a canonical record of
-        it: ``_stride`` bytes with the newline, the body at ``_body``, and a
-        (byte position, table) check per byte -- the empty graph's size
-        field, body bytes in [63, 126], zero padding bits, a newline."""
-        self.n = n
-        if n > COUNT_VERTEX_CAP:
-            return
-        empty = write_graph6(Graph(n, (0,) * n))
-        size = len(empty)
-        field = size - (comb(n, 2) + 5) // 6
-        padding = (1 << 6 * (size - field) - comb(n, 2)) - 1
-        self._stride = size + 1
-        self._body = range(field, size)
-        self._checks = [(p, _bad_table([ord(empty[p])])) for p in range(field)]
-        self._checks += [(p, _IN_RANGE) for p in self._body]
-        if padding:
-            good = [b for b in range(63, 127) if not (b - 63) & padding]
-            self._checks[-1] = (size - 1, _bad_table(good))
-        self._checks.append((size, _NEWLINE))
+        self._read = None  # canonical_reader of the corpus order
 
     def add_run(self, planes: list[int], lanes: int, starts: Iterable[int]) -> None:
         """Fold in a run of aligned blocks of graphs that share their low
@@ -345,11 +294,11 @@ class PairMaximum:
 
     def add_graphs(self, graphs: Iterable[Graph]) -> None:
         """Take a block of graphs of the stream, in stream order: each is
-        checked as it is taken, then the kernel runs once on those kept."""
+        checked in turn, then the kernel runs once on those kept."""
         kept = []
         for g in graphs:
             if self.n is None:
-                self.set_order(g.n)
+                self.n = g.n
             if g.n != self.n:
                 raise MixedOrderError(f"graph stream mixes orders {self.n} and {g.n}")
             if self.n > COUNT_VERTEX_CAP:
@@ -381,63 +330,26 @@ class PairMaximum:
     def add_lines(self, block: list[str | bytes], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
 
-        Lines that are canonical records of order n -- the empty graph's
-        size field and length, every byte in [63, 126], zero padding bits,
-        a newline -- are read here, one byte column of the block at a time;
-        a witness among them is written from its edge planes.  Every other
-        line is parsed by ``parse_graph6`` in file order; canonical
-        lines never raise, so errors and warnings come out in file order.
+        Canonical records of the stream's order are read by its
+        ``canonical_reader`` and go through the kernel as one block; a
+        witness among them is written from their edge planes.  Every other
+        record is parsed by ``parse_graph6`` in file order; canonical
+        records never raise, so errors and warnings come out in file order.
         """
         if self.n is None:
             # the first record's order; one it cannot read stays unset, and
             # iter_graph6 below raises that record's error in stream order
-            n = graph6_order(next(graph6_records(block), ""))
-            if n is not None:
-                self.set_order(n)
-        at, data, ok = self._canonical(block)
+            self.n = graph6_order(next(graph6_records(block), ""))
+            if self.n is not None and self.n <= COUNT_VERTEX_CAP:
+                self._read = canonical_reader(self.n)
+        at, ok, planes = self._read(block) if self._read else ((), 0, [])
         if ok != (1 << len(block)) - 1:
             canonical = set(select_bits(ok, at))
             rest = [line for i, line in enumerate(block) if i not in canonical]
-            self.add_graphs(iter_graph6(rest, strict))
-        if not ok:
-            return
-        stride = self._stride
-        body = [data[p::stride][::-1] for p in self._body]
-        self.add_run(
-            [_plane(body[k // 6], _SEXTET[k % 6]) for k in range(comb(self.n, 2))],
-            ok,
-            [0],
-        )
-
-    def _canonical(
-        self, block: list[str | bytes]
-    ) -> tuple[Sequence[int], bytes, int]:
-        """The positions in ``block`` of the lines with the length of a
-        canonical record and its newline, their bytes joined, and the lanes
-        (one per such line) that are canonical records.  A block that mixes
-        ``str`` and ``bytes`` lines of that length has none."""
-        if not self._checks:
-            return [], b"", 0
-        stride = self._stride
-        if set(map(len, block)) == {stride}:
-            at: Sequence[int] = range(len(block))
-            lines = block
-        else:
-            at = [i for i, line in enumerate(block) if len(line) == stride]
-            lines = [block[i] for i in at]
-        if not lines:
-            return [], b"", 0
-        try:
-            joined = lines[0][:0].join(lines)
-        except TypeError:
-            return [], b"", 0
-        if not joined.isascii():
-            return [], b"", 0
-        data = joined.encode("ascii") if isinstance(joined, str) else joined
-        bad = 0
-        for p, table in self._checks:
-            bad |= _plane(data[p::stride][::-1], table)
-        return at, data, ((1 << len(at)) - 1) & ~bad
+            if records := list(graph6_records(rest)):
+                self.add_graphs(iter_graph6(records, strict))
+        if ok:
+            self.add_run(planes, ok, [0])
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -484,12 +396,12 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     because every pair of K_n is totally dominating.  In total mode,
     graphs with no total dominating pair (in particular graphs with an
     isolated vertex) count toward ``graphs_scanned`` but cannot produce
-    the maximum.
+    the maximum.  The stream is read in blocks of ``SCAN_BLOCK``
+    (:func:`in_blocks`), and a block's graphs are checked once it is read.
     """
     best = PairMaximum(mode)
-    stream = iter(graphs)
-    for g in stream:
-        best.add_graphs(chain([g], islice(stream, SCAN_BLOCK - 1)))
+    for block in in_blocks(graphs):
+        best.add_graphs(block)
     if best.n is None:
         raise ValueError("graph stream is empty")
     return _record(best)
@@ -499,8 +411,10 @@ def scan_corpus(
     lines: Iterable[str | bytes], mode: Mode, strict: bool = True
 ) -> ExtremalRecord:
     """:func:`extremal_scan` (target 2) over a graph6 corpus, one record
-    per line, blank lines skipped: the same record, errors and warnings as
-    ``extremal_scan(iter_graph6(lines, strict), mode)``.
+    per line, blank lines skipped: the same record and errors as
+    ``extremal_scan(iter_graph6(lines, strict), mode)``, and its warnings
+    up to the first refused record (that scan reads the rest of the
+    record's block first, and may warn about it).
 
     Lines are read in bounded blocks.  Canonical records of the first
     record's order are read straight from their bytes into edge planes, and
@@ -509,7 +423,7 @@ def scan_corpus(
     when the corpus holds no record.
     """
     best = PairMaximum(mode)
-    for block in line_blocks(lines):
+    for block in in_blocks(lines):
         best.add_lines(block, strict)
     if best.n is None:
         raise GraphParseError("no graph6 record found in corpus")
@@ -530,8 +444,8 @@ def scan_labeled(n: int, mode: Mode) -> ExtremalRecord:
         )
     if n < 0:
         raise InfeasibleOrderError("vertex count must be nonnegative")
-    best.set_order(n)
+    best.n = n
     m = comb(n, 2)
     k = min(CHUNK_BITS, m)
-    best.add_run(counter_planes(0, k, k), (1 << (1 << k)) - 1, range(0, 1 << m, 1 << k))
+    best.add_run(lane_planes(k), (1 << (1 << k)) - 1, range(0, 1 << m, 1 << k))
     return _record(best)

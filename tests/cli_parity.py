@@ -37,7 +37,14 @@ The invocations:
 * ``gamma --in`` and ``count --in`` over ``LONE_INPUTS``: edge lists whose
   count line follows 70 000 comment characters (n = 65 with a loop on a
   later line, and a valid n = 5), and empty and whitespace-only files in
-  both formats, in both modes, with and without ``--lenient``.
+  both formats, in both modes, with and without ``--lenient``;
+* ``gamma --in -`` and ``count --in -`` in both formats, and ``scan
+  --corpus -`` on graph6, with each of those corpora, separated files and
+  lone inputs fed through ``sys.stdin``, in both modes, with and without
+  ``--lenient``.
+
+An invocation is (working directory, argv), or (working directory, argv,
+file to feed as standard input) for the ones that read ``-``.
 
 ``run_cli`` writes each distinct warning as one stderr line, ``domcount:
 warning: <message>``.  A tree from before that rule leaves warnings to the
@@ -81,8 +88,9 @@ LONE_INPUTS = {
 }
 
 
-def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
-    """(working directory relative to ``work``, argv) pairs; writes the
+def invocations(work: Path, seed: int) -> list[tuple]:
+    """(working directory relative to ``work``, argv) pairs, with the file
+    to feed as standard input third where argv reads ``-``; writes the
     perfbench inputs under ``work/perfbench``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -117,10 +125,12 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
     runs.append((own, ["construct", "--n", "100000000000", "--gamma", "1000000"]))
     runs.append((own, ["--help"]))
     runs += [(own, [command, "--help"]) for command in SUBCOMMANDS]
+    fed = []  # (path, format) of every file also read from standard input
     corpora = work / own / "corpora"
     corpora.mkdir()
     for name, (order, data) in edge_corpora(random.Random(seed)).items():
         (corpora / name).write_bytes(data)
+        fed.append((f"corpora/{name}", "g6"))
         for n in ([], ["--n", str(order)], ["--n", str(order + 1)]):
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, ["scan", "--corpus", f"corpora/{name}", *n, *flags]))
@@ -129,6 +139,7 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
     for name, data in separated_inputs(random.Random(seed)).items():
         (separated / name).write_bytes(data)
         path = f"separated/{name}"
+        fed.append((path, "edges" if name.endswith(".edges") else "g6"))
         if name.endswith(".edges"):
             commands = [[command, "--in", path, "--format", "edges"]
                         for command in ("gamma", "count")]
@@ -143,10 +154,18 @@ def invocations(work: Path, seed: int) -> list[tuple[str, list[str]]]:
     for name, data in LONE_INPUTS.items():
         (lone / name).write_bytes(data)
         fmt = "edges" if name.endswith(".edges") else "g6"
+        fed.append((f"lone/{name}", fmt))
         for command in ("gamma", "count"):
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, [command, "--in", f"lone/{name}", "--format", fmt,
                                    *flags]))
+    for path, fmt in fed:
+        commands = [[command, "--in", "-", "--format", fmt] for command in ("gamma", "count")]
+        if fmt == "g6":
+            commands.append(["scan", "--corpus", "-"])
+        for argv in commands:
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, argv + flags, path))
     return runs
 
 
@@ -234,8 +253,10 @@ def run_worker(src: str, work: str, plan: str, out: str) -> None:
 
     os.environ["COLUMNS"] = "80"
     results = []
-    for where, argv in json.loads(Path(plan).read_text()):
+    for where, argv, *stdin in json.loads(Path(plan).read_text()):
         os.chdir(Path(work, where))
+        if stdin:
+            sys.stdin = io.TextIOWrapper(io.BytesIO(Path(stdin[0]).read_bytes()))
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
             try:
@@ -243,6 +264,7 @@ def run_worker(src: str, work: str, plan: str, out: str) -> None:
             except Exception as exc:  # a traceback in a process of its own
                 code = 1
                 stderr.write(f"uncaught {type(exc).__name__}: {exc}\n")
+        sys.stdin = sys.__stdin__
         written = None
         if "--out" in argv:
             path = Path(argv[argv.index("--out") + 1])
@@ -298,11 +320,12 @@ def main() -> int:
         return 2
     old, new = (json.loads((work / f"{side}.json").read_text()) for side in ("old", "new"))
     differing = 0
-    for (where, argv), a, b in zip(runs, old, new):
+    for (where, argv, *stdin), a, b in zip(runs, old, new):
         lines = describe(a, b)
         if lines:
             differing += 1
-            print(f"DIFF ({where}) {' '.join(argv)}")
+            feed = f" < {stdin[0]}" if stdin else ""
+            print(f"DIFF ({where}) {' '.join(argv)}{feed}")
             print("\n".join(lines))
     print(f"{len(runs)} invocations, {differing} differ (work directory {work})")
     return 1 if differing else 0

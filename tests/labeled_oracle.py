@@ -24,7 +24,17 @@ from domcount import (
     graph_from_edge_mask,
     scanning,
 )
-from domcount.scanning import counter_planes, lane_sum, maximum, pair_order
+from domcount.scanning import lane_planes, lane_sum, maximum, pair_order
+
+
+def counter_planes(start: int, k: int, bits: int) -> list[int]:
+    """Bit planes 0 .. bits-1 of the counter start, start+1, ...,
+    start+2^k-1, for k <= bits and ``start`` a multiple of 2^k: lane g of
+    plane e holds bit e of start + g.  Below k these are the planes of the
+    lane number g; from k up, lane g adds nothing, so plane e has every
+    lane set or every lane clear, as bit e of ``start``."""
+    lanes = (1 << (1 << k)) - 1
+    return lane_planes(k) + [lanes if start >> e & 1 else 0 for e in range(k, bits)]
 
 
 def _check_enumeration(n: int) -> None:

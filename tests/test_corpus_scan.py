@@ -30,7 +30,7 @@ from domcount import (
     write_graph6,
 )
 from domcount.cli import run_cli
-from domcount.scanning import SCAN_BLOCK, line_blocks, scan_corpus
+from domcount.scanning import SCAN_BLOCK, PairMaximum, in_blocks, scan_corpus
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -198,6 +198,30 @@ class TestAgainstOracle:
         assert err == "domcount: parse error: no graph6 record found in corpus\n"
         assert_matches_oracle(path)
 
+    @pytest.mark.parametrize("head", [b"", b"\n  \n\t\n"])
+    def test_canonical_corpus_is_never_parsed(self, tmp_path, monkeypatch, head):
+        # the first record's line, and any blank lines before it, reach the
+        # scan as read, so no block of a canonical corpus leaves the
+        # canonical path
+        rng = random.Random(17)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(SCAN_BLOCK + 30)]
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(head + b"\n".join(lines) + b"\n")
+        parsed = []
+        add_graphs = PairMaximum.add_graphs
+
+        def spy(self, graphs):
+            parsed.append(list(graphs))
+            add_graphs(self, parsed[-1])
+
+        monkeypatch.setattr(PairMaximum, "add_graphs", spy)
+        for n in ([], ["--n", "8"]):
+            code, report, _ = cli_outcome(["scan", "--corpus", str(path), *n])
+            assert code == 0 and report["graphs_scanned"] == len(lines)
+        assert parsed == []
+        monkeypatch.undo()
+        assert_matches_oracle(path)
+
     def test_many_records_same_witness(self, tmp_path):
         rng = random.Random(211)
         lines = [random_record(rng, 9, 5 / 8) for _ in range(3 * SCAN_BLOCK)]
@@ -316,7 +340,7 @@ class TestFailedRead:
 
     def test_lines_read_before_the_error_are_handed_out(self):
         lines = [f"{i}\n" for i in range(SCAN_BLOCK + 30)]
-        blocks = line_blocks(self.failing(lines, SCAN_BLOCK + 20))
+        blocks = in_blocks(self.failing(lines, SCAN_BLOCK + 20))
         assert next(blocks) == lines[:SCAN_BLOCK]
         assert next(blocks) == lines[SCAN_BLOCK : SCAN_BLOCK + 20]
         with pytest.raises(UnicodeDecodeError):

@@ -1,5 +1,6 @@
 import random
 import warnings
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,9 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import edge_list_order, graph6_order, graph6_records, text_lines
-from domcount.scanning import graph_from_edge_mask
+from domcount.graph6 import canonical_reader, edge_list_order, graph6_order
+from domcount.graph6 import graph6_records, text_lines
+from domcount.scanning import graph_from_edge_mask, pair_order
 
 
 @st.composite
@@ -326,6 +328,110 @@ class TestIterGraph6:
         assert [g.m for g in iter_graph6(lines)] == [6, 4]
         with pytest.raises(GraphParseError, match="non-ASCII|out of graph6 range"):
             list(iter_graph6([line("C~\xa0")]))
+
+
+def reader_variants(n: int, rng: random.Random) -> dict[str, bytes]:
+    """Lines for the canonical reader at order n: canonical records with
+    their newline, and copies broken in one way each -- a wrong size field
+    byte, a byte out of range in each body column, a padding bit set, no
+    or another line end, a wrong length, a header, another order."""
+    lines = {}
+    for density in (0.0, 0.5, 1.0):
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+        record = write_graph6(from_edges(n, pairs)).encode()
+        field = len(record) - (comb(n, 2) + 5) // 6
+        lines[f"canonical_{density}"] = record + b"\n"
+        for p in range(field):
+            byte = record[p] + 1 if record[p] < 126 else record[p] - 1
+            lines[f"size_field_{p}_{density}"] = (
+                record[:p] + bytes([byte]) + record[p + 1 :] + b"\n"
+            )
+        for p in range(field, len(record)):
+            byte = [32, 33, 62, 127][p % 4]
+            lines[f"out_of_range_{p}_{density}"] = (
+                record[:p] + bytes([byte]) + record[p + 1 :] + b"\n"
+            )
+        if comb(n, 2) % 6:
+            last = bytes([(record[-1] - 63 | 1) + 63])
+            lines[f"padding_{density}"] = record[:-1] + last + b"\n"
+        lines[f"no_line_end_{density}"] = record
+        lines[f"cr_{density}"] = record + b"\r"
+        lines[f"crlf_{density}"] = record + b"\r\n"
+        lines[f"truncated_{density}"] = record[:-1] + b"\n"
+        lines[f"over_long_{density}"] = record + b"?\n"
+        lines[f"header_{density}"] = b">>graph6<<" + record + b"\n"
+    for other in {n + 1, abs(n - 1)} - {n}:
+        lines[f"order_{other}"] = write_graph6(new_graph(other)).encode() + b"\n"
+    return lines
+
+
+def canonical_graph(line: str | bytes, n: int):
+    """The graph ``parse_graph6`` reads from ``line`` when the line is that
+    graph's canonical order-n record plus a newline, else None."""
+    try:
+        g = parse_graph6(line)
+    except (GraphParseError, SizeLimitError):
+        return None
+    text = line if isinstance(line, str) else line.decode("ascii")
+    return g if g.n == n and text == write_graph6(g) + "\n" else None
+
+
+class TestCanonicalReader:
+    """``canonical_reader`` line by line against ``parse_graph6``: a line is
+    accepted exactly when it is ``write_graph6`` of the graph parsed from
+    it, plus a newline, and its lane of the planes holds that graph's
+    edges in ``pair_order``."""
+
+    ORDERS = [0, 1, 2, 3, 4, 5, 8, 12, 13, 62, 63, 64]
+
+    @staticmethod
+    def check(n, block):
+        stride = len(write_graph6(new_graph(n))) + 1
+        at, ok, planes = canonical_reader(n)(block)
+        assert list(at) == [i for i, line in enumerate(block) if len(line) == stride]
+        assert len(planes) == (comb(n, 2) if at else 0)
+        for lane, i in enumerate(at):
+            g = canonical_graph(block[i], n)
+            assert (ok >> lane & 1) == (g is not None), block[i]
+            if g is not None:
+                assert [plane >> lane & 1 for plane in planes] == [
+                    g.rows[a] >> b & 1 for a, b in pair_order(n)
+                ], block[i]
+        return ok
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    @pytest.mark.parametrize("n", ORDERS[:-3])  # test_one_block takes the wide ones
+    def test_each_line_alone(self, n, kind):
+        for name, line in reader_variants(n, random.Random(n)).items():
+            line = line.decode("ascii") if kind is str else line
+            ok = self.check(n, [line])
+            assert ok == name.startswith("canonical"), name
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_one_block(self, n, kind):
+        lines = list(reader_variants(n, random.Random(n)).values())
+        random.Random(-n).shuffle(lines)
+        block = [line.decode("ascii") if kind is str else line for line in lines]
+        assert self.check(n, block).bit_count() == 3
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_a_block_with_str_and_bytes_has_none(self, n):
+        record = write_graph6(complete_graph(n)) + "\n"
+        assert canonical_reader(n)([record, record.encode()])[1] == 0
+        assert canonical_reader(n)([record, record])[1] == 0b11
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_non_ascii_text_has_none(self, n, kind):
+        record = write_graph6(complete_graph(n)) + "\n"
+        if kind is bytes:
+            record = record.encode()
+        # the canonical length, with an e-acute (one character or byte)
+        other = record[:1] + ("\u00e9" if kind is str else b"\xe9") + record[2:]
+        assert canonical_graph(other, n) is None
+        assert canonical_reader(n)([other])[1] == 0
+        assert canonical_reader(n)([record, other])[1] == 0
 
 
 class TestEdgeList:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tied_stream
 from labeled_oracle import (
+    counter_planes,
     edge_mask_blocks,
     enumerate_labeled_graphs,
     labeled_max_edges_gamma2,
@@ -32,7 +33,7 @@ from domcount import (
     write_graph6,
 )
 from domcount import scanning
-from domcount.scanning import counter_planes, lane_sum, maximum, pair_counts
+from domcount.scanning import lane_sum, maximum, pair_counts
 from domcount.scanning import pair_order
 from domcount.scanning import smallest_reversed
 from domcount.scanning import CHUNK_BITS
