@@ -186,18 +186,20 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
         with _open_text(args.corpus) as handle:
-            # the lines up to the first record, whose order --n must match;
-            # the scan takes them as read
+            # the lines up to the first record, whose order --n must match
+            # and the counting cap must admit; the scan takes them as read
             head, first = [], ""
             for line in handle:
                 head.append(line)
                 if first := next(graph6_records([line]), ""):
                     break
             order = graph6_order(first)
-            if args.n is not None and order is not None and order != args.n:
-                raise MixedOrderError(
-                    f"corpus has order {order}, --n {args.n} was requested"
-                )
+            if order is not None:
+                if args.n is not None and order != args.n:
+                    raise MixedOrderError(
+                        f"corpus has order {order}, --n {args.n} was requested"
+                    )
+                check_countable(order)
             record = scan_corpus(chain(head, handle), mode, strict=not args.lenient)
     else:
         if args.n is None:

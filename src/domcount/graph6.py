@@ -268,6 +268,19 @@ def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield line_number, tokens
 
 
+def _integer(token: str) -> int:
+    """``int(token)``, for ASCII digits after an optional ``-`` only."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        return int(token)
+    raise ValueError(f"not an integer: {token!r}")
+
+
+def _line_error(message: str, line_number: int) -> GraphParseError:
+    """An edge-list error that names its 1-based line and carries it as
+    the position."""
+    return GraphParseError(f"{message} on line {line_number}", position=line_number)
+
+
 def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
     """The vertex count on the first of an edge list's :func:`_token_lines`."""
     first = next(lines, None)
@@ -275,22 +288,13 @@ def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
         raise GraphParseError("missing vertex count line")
     line_number, tokens = first
     if len(tokens) != 1:
-        raise GraphParseError(
-            f"expected a single vertex count on line {line_number}",
-            position=line_number,
-        )
+        raise _line_error("expected a single vertex count", line_number)
     try:
-        n = int(tokens[0])
+        n = _integer(tokens[0])
     except ValueError:
-        raise GraphParseError(
-            f"invalid vertex count {tokens[0]!r} on line {line_number}",
-            position=line_number,
-        ) from None
+        raise _line_error(f"invalid vertex count {tokens[0]!r}", line_number) from None
     if n < 0:
-        raise GraphParseError(
-            f"negative vertex count on line {line_number}",
-            position=line_number,
-        )
+        raise _line_error("negative vertex count", line_number)
     if n > MAX_VERTICES:
         raise SizeLimitError(f"edge list has n={n}, cap is {MAX_VERTICES}")
     return n
@@ -317,26 +321,20 @@ def parse_edge_list(text: str) -> Graph:
     lines = _token_lines(text_lines(text))
     n = _vertex_count(lines)
     rows = [0] * n
+    # int also takes "+", "_" and non-ASCII digits; where the text holds
+    # none of them, even in a comment, it takes what _integer takes, faster
+    number = int if text.isascii() and "+" not in text and "_" not in text else _integer
     for line_number, tokens in lines:
         if len(tokens) != 2:
-            raise GraphParseError(
-                f"expected 'u v' on line {line_number}", position=line_number
-            )
+            raise _line_error("expected 'u v'", line_number)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = number(tokens[0]), number(tokens[1])
         except ValueError:
-            raise GraphParseError(
-                f"non-integer endpoint on line {line_number}", position=line_number
-            ) from None
+            raise _line_error("non-integer endpoint", line_number) from None
         if u == v:
-            raise GraphParseError(
-                f"loop {u}-{v} on line {line_number}", position=line_number
-            )
+            raise _line_error(f"loop {u}-{v}", line_number)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(
-                f"edge ({u}, {v}) out of range for n={n} on line {line_number}",
-                position=line_number,
-            )
+            raise _line_error(f"edge ({u}, {v}) out of range for n={n}", line_number)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))

@@ -36,7 +36,7 @@ from math import comb
 from operator import and_, or_
 from typing import Iterable, Iterator, TypeVar
 
-from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
+from .domination import Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
 from .graph6 import _BIT, _plane, canonical_reader, graph6_order, graph6_records
@@ -255,7 +255,8 @@ class PairMaximum:
     largest (total) dominating pair count among graphs with domination
     number exactly 2, its byte-smallest graph6 witness, and the number of
     graphs seen.  The order ``n`` is the first graph's or the first
-    record's, unless it is set first."""
+    record's, unless it is set first.  An order past the counting cap is
+    refused there."""
 
     def __init__(self, mode: str):
         check_mode(mode)
@@ -294,38 +295,29 @@ class PairMaximum:
 
     def add_graphs(self, graphs: Iterable[Graph]) -> None:
         """Take a block of graphs of the stream, in stream order: each is
-        checked in turn, then the kernel runs once on those kept."""
-        kept = []
+        checked in turn, then the kernel runs once on the block."""
+        block = []
         for g in graphs:
             if self.n is None:
+                check_countable(g.n)
                 self.n = g.n
             if g.n != self.n:
                 raise MixedOrderError(f"graph stream mixes orders {self.n} and {g.n}")
-            if self.n > COUNT_VERTEX_CAP:
-                # Past the counting cap: a graph that could compete is
-                # refused, one that cannot is only counted.
-                full = (1 << g.n) - 1
-                if (self.mode == "dominating" or not g.has_isolated_vertex()) and all(
-                    row | 1 << v != full for v, row in enumerate(g.rows)
-                ):
-                    check_countable(g.n)
-                self.scanned += 1
-            else:
-                kept.append(g)
-        if not kept:
+            block.append(g)
+        if not block:
             return
         # Row i of every graph as `width` big-endian bytes, last graph
         # first: bit j of the row is a byte column of its own.
         width = (self.n + 7) // 8
         columns = [
-            b"".join([g.rows[i].to_bytes(width, "big") for g in reversed(kept)])
+            b"".join([g.rows[i].to_bytes(width, "big") for g in reversed(block)])
             for i in range(self.n)
         ]
         planes = [
             _plane(columns[i][width - 1 - j // 8 :: width], _BIT[j % 8])
             for i, j in pair_order(self.n)
         ]
-        self.add_run(planes, (1 << len(kept)) - 1, [0])
+        self.add_run(planes, (1 << len(block)) - 1, [0])
 
     def add_lines(self, block: list[str | bytes], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped).
@@ -340,7 +332,8 @@ class PairMaximum:
             # the first record's order; one it cannot read stays unset, and
             # iter_graph6 below raises that record's error in stream order
             self.n = graph6_order(next(graph6_records(block), ""))
-            if self.n is not None and self.n <= COUNT_VERTEX_CAP:
+            if self.n is not None:
+                check_countable(self.n)
                 self._read = canonical_reader(self.n)
         at, ok, planes = self._read(block) if self._read else ((), 0, [])
         if ok != (1 << len(block)) - 1:
@@ -420,7 +413,9 @@ def scan_corpus(
     record's order are read straight from their bytes into edge planes, and
     the witness is written from those planes; any other line goes through
     :func:`parse_graph6`, in file order.  Raises :class:`GraphParseError`
-    when the corpus holds no record.
+    when the corpus holds no record, and :class:`SizeLimitError` when the
+    first record's size field is past the counting cap, before any record
+    is parsed.
     """
     best = PairMaximum(mode)
     for block in in_blocks(lines):

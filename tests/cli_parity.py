@@ -26,7 +26,9 @@ The invocations:
 * ``--help`` of the tool and of every subcommand;
 * ``scan --corpus`` over small malformed or non-canonical corpora, in both
   modes, with and without ``--lenient``, and without ``--n``, with the
-  first record's order and with another;
+  first record's order and with another (also 8 for the order-65 ones,
+  which include a truncated first record and a non-ASCII line past the
+  first 8 KiB);
 * ``scan --corpus`` over tied maximizers: one repeated within a block and
   across a block boundary among other maximizers, and distinct maximizers
   in descending byte order across a block boundary;
@@ -131,7 +133,9 @@ def invocations(work: Path, seed: int) -> list[tuple]:
     for name, (order, data) in edge_corpora(random.Random(seed)).items():
         (corpora / name).write_bytes(data)
         fed.append((f"corpora/{name}", "g6"))
-        for n in ([], ["--n", str(order)], ["--n", str(order + 1)]):
+        # an order past the counting cap, with another order requested
+        other = [["--n", "8"]] if order > 64 else []
+        for n in ([], ["--n", str(order)], ["--n", str(order + 1)], *other):
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, ["scan", "--corpus", f"corpora/{name}", *n, *flags]))
     separated = work / own / "separated"
@@ -237,6 +241,9 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         "non_ascii.g6": (8, lines(g8[:8]) + b"caf\xc3\xa9\n" + lines(g8[8:])),
         "order65.g6": (65, lines([complete65, empty65, complete65])),
         "order65_no_candidate.g6": (65, lines([complete65, complete65])),
+        "order65_truncated.g6": (65, lines([complete65[:-1], complete65])),
+        # the text decoder reads 8 KiB at a time: the bad byte is in a later read
+        "order65_non_ascii.g6": (65, lines([complete65] * 30) + b"caf\xc3\xa9\n"),
         "blank.g6": (8, b"\n  \n" * 600),
         "tie_repeat.g6": (8, lines(repeat)),
         "tie_descending.g6": (8, lines(records(8, 1000) + ties)),

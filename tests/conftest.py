@@ -32,23 +32,30 @@ def tied_stream(n: int) -> tuple[Graph, ...]:
     only after the first SCAN_BLOCK graphs, twice within one block.
 
     The graph's complement has at most n/2 + 1 edges, so each relabelling
-    renames those and complements back."""
+    renames those and complements back.  A small order has few distinct
+    relabellings (30 at n = 5), so they are drawn until SCAN_BLOCK + 38
+    differ from the byte-smallest drawn, whatever SCAN_BLOCK is."""
     rng = random.Random(n)
     g = pair_extremal_graph(n)
     full = (1 << n) - 1
     missing = [(i, j) for j in range(n) for i in range(j) if not g.rows[i] >> j & 1]
-    graphs = []
-    for _ in range(SCAN_BLOCK + 100):
+
+    def relabelled() -> Graph:
         perm = rng.sample(range(n), n)
         rows = [full ^ 1 << v for v in range(n)]
         for i, j in missing:
             rows[perm[i]] ^= 1 << perm[j]
             rows[perm[j]] ^= 1 << perm[i]
-        graphs.append(Graph(n, tuple(rows)))
-    smallest = min(graphs, key=write_graph6)
-    graphs = [h for h in graphs if h != smallest]
-    assert len(graphs) >= SCAN_BLOCK + 38
-    graphs = graphs[: SCAN_BLOCK + 38]
+        return Graph(n, tuple(rows))
+
+    graphs = [relabelled() for _ in range(SCAN_BLOCK + 100)]
+    while True:
+        smallest = min(graphs, key=write_graph6)
+        others = [h for h in graphs if h != smallest]
+        if len(others) >= SCAN_BLOCK + 38:
+            break
+        graphs += [relabelled() for _ in range(100)]
+    graphs = others[: SCAN_BLOCK + 38]
     graphs.insert(SCAN_BLOCK + 5, smallest)
     graphs.insert(SCAN_BLOCK + 20, smallest)
     return tuple(graphs)

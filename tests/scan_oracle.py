@@ -20,6 +20,7 @@ from domcount import (
     iter_graph6,
     write_graph6,
 )
+from domcount.domination import check_countable
 
 
 def oracle_extremal_scan(
@@ -33,6 +34,7 @@ def oracle_extremal_scan(
     best_witness: str | None = None
     for g in graphs:
         if n is None:
+            check_countable(g.n)  # the order is refused before any graph counts
             n = g.n
         elif g.n != n:
             raise MixedOrderError(

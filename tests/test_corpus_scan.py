@@ -34,6 +34,7 @@ from domcount.scanning import SCAN_BLOCK, PairMaximum, in_blocks, scan_corpus
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
+K65 = write_graph6(complete_graph(65)).encode() + b"\n"
 
 
 def cli_outcome(argv):
@@ -389,12 +390,22 @@ class TestOrderChecks:
         assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
         assert_matches_oracle(path)
 
-    def test_order_65_without_a_candidate(self, tmp_path):
-        # every graph has a dominating vertex: nothing is counted
+    @pytest.mark.parametrize(
+        "data",
+        [K65 * 2, K65[:-2] + b"\n", K65 * 30 + b"caf\xc3\xa9\n"],
+        ids=["no-candidate", "truncated-first", "non-ascii-past-8-KiB"],
+    )
+    def test_order_65_refused_before_parsing(self, tmp_path, data):
+        # The cap is checked on the first record's size field, before its
+        # body or any later line is parsed or decoded: a truncated first
+        # record, and a byte the decoder rejects past its first 8 KiB read,
+        # still exit 4.  Every graph has a dominating vertex, so none could
+        # compete; the order is refused all the same.
         path = tmp_path / "corpus.g6"
-        path.write_text((write_graph6(complete_graph(65)) + "\n") * 2)
-        code, report, _ = cli_outcome(["scan", "--corpus", str(path)])
-        assert code == 0 and report["count"] == 0 and report["graphs_scanned"] == 2
+        path.write_bytes(data)
+        code, report, err = cli_outcome(["scan", "--corpus", str(path)])
+        assert code == 4 and report is None
+        assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
         assert_matches_oracle(path)
 
     def test_requested_order_is_checked_first(self, tmp_path):

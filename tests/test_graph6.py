@@ -255,6 +255,12 @@ class TestDeclaredOrder:
             ("5000\n", None),
             ("# only a comment\n", None),
             ("", None),
+            ("1_1\n0 1_0\n+2 3\n", None),
+            ("+2\n", None),
+            ("--2\n", None),
+            ("-\n", None),
+            ("\u0663\n", None),
+            ("# +1_0 \u0663\n007\n0 1\n", 7),
         ],
     )
     def test_edge_list_count_line(self, text, order):
@@ -462,6 +468,23 @@ class TestEdgeList:
             parse_edge_list("2\n0 1 2\n")
         with pytest.raises(GraphParseError):
             parse_edge_list("2\nnope 1\n")
+        # a token is ASCII digits after an optional "-", whatever int takes
+        for text, message in [
+            ("1_1\n0 1_0\n+2 3\n", "invalid vertex count '1_1' on line 1"),
+            ("+3\n0 1\n", "invalid vertex count '+3' on line 1"),
+            ("\u0663\n0 1\n", "invalid vertex count '\u0663' on line 1"),
+            ("3\n0 1\n+2 1\n", "non-integer endpoint on line 3"),
+            ("12\n0 1_0\n", "non-integer endpoint on line 2"),
+            ("3\n# a + b\n0 1_0\n", "non-integer endpoint on line 3"),
+            ("3\n0 \u0662\n", "non-integer endpoint on line 2"),
+            ("3\n--1 2\n", "non-integer endpoint on line 2"),
+            ("3\n- 2\n", "non-integer endpoint on line 2"),
+            ("3\n-1 2\n", "edge (-1, 2) out of range for n=3 on line 2"),
+            ("-3\n", "negative vertex count on line 1"),
+        ]:
+            with pytest.raises(GraphParseError) as info:
+                parse_edge_list(text)
+            assert str(info.value) == message, text
 
     @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
     def test_only_newlines_end_a_line(self, separator):

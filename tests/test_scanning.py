@@ -332,11 +332,21 @@ class TestPairKernelAgainstOracle:
              "complete-then-order-3", "one-edge"],
     )
     def test_past_the_counting_cap(self, graphs, mode):
-        # a graph that could compete is refused where counting refused it;
-        # graphs that cannot are counted as scanned
+        # the order is refused at the first graph, before a later graph's
+        # order is compared with it
         assert scan_outcome(extremal_scan, graphs, mode) == scan_outcome(
             oracle_extremal_scan, graphs, mode
         )
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_refused_without_a_candidate(self, mode):
+        # every graph has a dominating vertex, so none could compete
+        star = from_edges(65, [(0, v) for v in range(1, 65)])
+        graphs = [complete_graph(65), star, complete_graph(65)]
+        with pytest.raises(SizeLimitError, match="n <= 64, got n=65"):
+            extremal_scan(graphs, mode)
+        with pytest.raises(SizeLimitError, match="n <= 64, got n=65"):
+            scanning.scan_corpus([write_graph6(g) + "\n" for g in graphs], mode)
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode must be"):
