@@ -19,7 +19,7 @@ import os
 import sys
 import time
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterator
@@ -41,7 +41,7 @@ from .errors import (
     UndefinedTotalDominationError,
 )
 from .graph6 import edge_list_order, graph6_order, graph6_records, parse_edge_list
-from .graph6 import parse_graph6, text_lines, write_edge_list, write_graph6
+from .graph6 import parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import scan_corpus, scan_labeled
@@ -77,29 +77,31 @@ def _mode(args: argparse.Namespace) -> str:
 @contextmanager
 def _open_text(path: str) -> Iterator[io.TextIOWrapper]:
     """A file, or stdin (left open) for '-', as ASCII with universal newlines."""
-    if path != "-":
-        with open(path, encoding="ascii") as handle:
-            yield handle
-        return
-    if sys.stdin is None:  # the process started without fd 0
+    if path == "-" and sys.stdin is None:  # the process started without fd 0
         raise OSError("standard input is closed")
-    handle = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii")
-    try:
-        yield handle
-    finally:
-        handle.detach()
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as raw:
+        handle = io.TextIOWrapper(raw, encoding="ascii")
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:  # its position counts from the last read
+            message = f"'ascii' codec can't decode byte {exc.object[exc.start]:#04x}"
+            raise GraphParseError(message) from None
+        finally:
+            handle.detach()  # the file is closed by the with; stdin stays open
 
 
 def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
     """The --in graph.  With ``counting``, an order past the counting cap is
     refused from the count line or size field, before the body is parsed."""
-    with _open_text(args.infile) as handle:
-        text = handle.read()
     edges = args.format == "edges"
-    if not edges:  # a graph6 input is read as its first record
-        text = next(graph6_records(text_lines(text)), None)
-        if text is None:
-            raise GraphParseError("no graph6 record found in input")
+    with _open_text(args.infile) as handle:
+        # a graph6 input is its first record; the rest is decoded, not kept,
+        # in reads of bounded size rather than lines, which can be long
+        text = handle.read() if edges else next(graph6_records(handle), "")
+        while handle.read(io.DEFAULT_BUFFER_SIZE):
+            pass
+    if not (edges or text):
+        raise GraphParseError("no graph6 record found in input")
     order = edge_list_order(text) if edges else graph6_order(text)
     if counting and order is not None:
         check_countable(order)
@@ -186,13 +188,9 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
         with _open_text(args.corpus) as handle:
-            # the lines up to the first record, whose order --n must match
-            # and the counting cap must admit; the scan takes them as read
-            head, first = [], ""
-            for line in handle:
-                head.append(line)
-                if first := next(graph6_records([line]), ""):
-                    break
+            # the first record: --n must match its order and the counting cap
+            # admit it; with "\n" added, the scan reads a canonical one unparsed
+            first = next(graph6_records(handle), "")
             order = graph6_order(first)
             if order is not None:
                 if args.n is not None and order != args.n:
@@ -200,7 +198,8 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
                         f"corpus has order {order}, --n {args.n} was requested"
                     )
                 check_countable(order)
-            record = scan_corpus(chain(head, handle), mode, strict=not args.lenient)
+            lines = chain([first + "\n"], handle)
+            record = scan_corpus(lines, mode, strict=not args.lenient)
     else:
         if args.n is None:
             raise InfeasibleOrderError("scan needs --n or --corpus")
@@ -354,7 +353,7 @@ def run_cli(argv: list[str]) -> int:
         if sys.stdout is None:  # the process started without fd 1
             raise OSError("standard output is closed")
         print(json.dumps(report, indent=2), flush=True)
-    except (GraphParseError, MixedOrderError, UnicodeDecodeError) as exc:
+    except (GraphParseError, MixedOrderError) as exc:
         _diagnose(f"parse error: {exc}")
         return 2
     except SizeLimitError as exc:

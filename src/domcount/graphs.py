@@ -148,7 +148,7 @@ class Graph(Frozen):
             if row >> v & 1:
                 raise InvalidEdgeError(f"loop at vertex {v}")
         set_field(self, "n", n)
-        set_field(self, "rows", rows)
+        set_field(self, "rows", tuple(rows))
 
     @property
     def m(self) -> int:

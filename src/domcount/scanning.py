@@ -41,7 +41,7 @@ from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
 from .graph6 import _BIT, _plane, canonical_reader, graph6_order, graph6_records
 from .graph6 import iter_graph6, write_graph6
-from .graphs import Frozen, Graph, from_edges, select_bits
+from .graphs import Frozen, Graph, VertexSet, check_order, from_edges, select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -338,16 +338,17 @@ class PairMaximum:
         at, ok, planes = self._read(block) if self._read else ((), 0, [])
         if ok != (1 << len(block)) - 1:
             canonical = set(select_bits(ok, at))
-            rest = [line for i, line in enumerate(block) if i not in canonical]
-            if records := list(graph6_records(rest)):
-                self.add_graphs(iter_graph6(records, strict))
+            rest = (line for i, line in enumerate(block) if i not in canonical)
+            self.add_graphs(iter_graph6(rest, strict))
         if ok:
             self.add_run(planes, ok, [0])
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the bits of ``mask`` in pair_order(n)."""
-    return from_edges(n, select_bits(mask, pair_order(n)))
+    check_order(n)
+    pairs = VertexSet(comb(n, 2), mask)  # refuses bits past the last pair
+    return from_edges(n, select_bits(pairs.mask, pair_order(n)))
 
 
 class ExtremalRecord(Frozen):

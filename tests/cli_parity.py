@@ -36,14 +36,17 @@ The invocations:
   --corpus`` over files whose lines are separated, or ended, by one of
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
   not -- in both modes, with and without ``--lenient``;
+* ``gamma --in``, ``count --in`` and ``scan --corpus`` over a file of
+  120 000 blank lines before its first record and a file of 3000 records
+  (``stream_inputs``), in both modes, with and without ``--lenient``;
 * ``gamma --in`` and ``count --in`` over ``LONE_INPUTS``: edge lists whose
   count line follows 70 000 comment characters (n = 65 with a loop on a
   later line, and a valid n = 5), and empty and whitespace-only files in
   both formats, in both modes, with and without ``--lenient``;
 * ``gamma --in -`` and ``count --in -`` in both formats, and ``scan
-  --corpus -`` on graph6, with each of those corpora, separated files and
-  lone inputs fed through ``sys.stdin``, in both modes, with and without
-  ``--lenient``.
+  --corpus -`` on graph6, with each of those corpora, separated files,
+  stream inputs and lone inputs fed through ``sys.stdin``, in both modes,
+  with and without ``--lenient``.
 
 An invocation is (working directory, argv), or (working directory, argv,
 file to feed as standard input) for the ones that read ``-``.
@@ -153,6 +156,16 @@ def invocations(work: Path, seed: int) -> list[tuple]:
         for argv in commands:
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, argv + flags))
+    streams = work / own / "streams"
+    streams.mkdir()
+    for name, data in stream_inputs(random.Random(seed)).items():
+        (streams / name).write_bytes(data)
+        path = f"streams/{name}"
+        fed.append((path, "g6"))
+        for argv in (["gamma", "--in", path], ["count", "--in", path],
+                     ["scan", "--corpus", path]):
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, argv + flags))
     lone = work / own / "lone"
     lone.mkdir()
     for name, data in LONE_INPUTS.items():
@@ -191,6 +204,24 @@ def separated_inputs(rng: random.Random) -> dict[str, bytes]:
         inputs[f"between_{name}.edges"] = separator.join(lines) + b"\n"
         inputs[f"edges_{name}.edges"] = lines[0] + b"\n" + separator.join(lines[1:])
     return inputs
+
+
+def stream_inputs(rng: random.Random) -> dict[str, bytes]:
+    """graph6 files of which ``gamma --in`` and ``count --in`` read only
+    the head, by file name: 120 000 blank lines before three order-8
+    records, and 3000 order-8 records (past a block of the scan and past
+    the text decoder's first 8 KiB read)."""
+    import oracle
+
+    records = [
+        oracle.encode_graph6(8, {pair for pair in oracle.pairs(8)
+                                 if rng.random() < 0.7}).encode() + b"\n"
+        for _ in range(3000)
+    ]
+    return {
+        "blank_head_long.g6": b" \n\n\t\n" * 40_000 + b"".join(records[:3]),
+        "many_records.g6": b"".join(records),
+    }
 
 
 def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:

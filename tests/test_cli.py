@@ -1,9 +1,11 @@
 import decimal
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,61 @@ class TestGammaAndCount:
         path = g6_file(cocktail_party(4))
         code, report, err = run(capsys, "count", "--in", path, flag, value)
         assert code == 1 and report is None and "nonnegative" in err
+
+
+class TestStreamedInput:
+    """Every graph6 input is read as a stream through one ASCII decoder:
+    ``--in`` keeps only its first record, and ``scan --corpus`` no line
+    before its first record."""
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["scan", "--corpus"], b" \n" * 200_000 + b"C~\n"),
+            (["count", "--in"], b"C~\n" * 200_000),
+            (["gamma", "--in"], b"C~\n" * 200_000),
+            (["count", "--in"], b"C~\n" + b"?" * 3_000_000),
+        ],
+        ids=["scan-blank-head", "count", "gamma", "count-long-line"],
+    )
+    def test_traced_peak_does_not_grow_with_the_input(
+        self, capsys, tmp_path, argv, data
+    ):
+        """The whole input, or every line before the first record, was
+        kept: a traced peak of about 12 MB on the first three inputs.  A
+        long line after the first record is decoded in bounded reads."""
+        path = tmp_path / "input.g6"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            code = run_cli([*argv, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_one_decode_error_whatever_the_command(
+        self, capsys, monkeypatch, tmp_path, source
+    ):
+        """Python's position counts from the decoder's last 8 KiB read, so
+        one byte past the first read got two positions: 10563 from
+        ``count --in``, which read the whole text, and 2371 from ``scan
+        --corpus``."""
+        record = (write_graph6(cocktail_party(8)) + "\n").encode("ascii")
+        data = record * 1509 + b"\xc3\xa9\n"
+        assert data.index(b"\xc3") == 10_563
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(data)
+        outcomes = set()
+        for argv in (["gamma", "--in"], ["count", "--in"], ["scan", "--corpus"]):
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            outcomes.add(run(capsys, *argv, str(path) if source == "file" else "-"))
+        assert outcomes == {
+            (2, None, "domcount: parse error: 'ascii' codec can't decode byte 0xc3\n")
+        }
 
 
 class TestConstruct:

@@ -201,8 +201,8 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("head", [b"", b"\n  \n\t\n"])
     def test_canonical_corpus_is_never_parsed(self, tmp_path, monkeypatch, head):
-        # the first record's line, and any blank lines before it, reach the
-        # scan as read, so no block of a canonical corpus leaves the
+        # the first record reaches the scan with a line end, and no blank
+        # line before it does, so no block of a canonical corpus leaves the
         # canonical path
         rng = random.Random(17)
         lines = [random_record(rng, 8, 5 / 8) for _ in range(SCAN_BLOCK + 30)]

@@ -65,6 +65,24 @@ class TestEnumeration:
         g = graph_from_edge_mask(4, 0b001011)
         assert list(g.edges()) == [(0, 1), (0, 2), (0, 3)]
 
+    @pytest.mark.parametrize(
+        "n, mask, error, message",
+        [
+            (3, 1 << 3, ValueError, "mask 0x8 sets bits outside 0..2"),
+            (3, -1, ValueError, "mask -0x1 sets bits outside 0..2"),
+            (4, 1 << 6, ValueError, "mask 0x40 sets bits outside 0..5"),
+            (-1, 5, ValueError, "vertex count must be nonnegative, got -1"),
+            (5000, -1, SizeLimitError, "vertex count 5000 exceeds cap 4096"),
+        ],
+    )
+    def test_edge_mask_out_of_range(self, n, mask, error, message):
+        """A bit at or past C(n, 2) was dropped and a sign read as bits;
+        the order is still checked first."""
+        with pytest.raises(error) as caught:
+            graph_from_edge_mask(n, mask)
+        assert type(caught.value) is error and str(caught.value) == message
+        assert graph_from_edge_mask(3, (1 << 3) - 1).m == 3
+
 
 class TestEdgeMaskBlocks:
     """The edge planes of the labeled enumeration -- the rows of each

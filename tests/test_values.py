@@ -130,6 +130,16 @@ def test_match_args_are_the_fields(value):
     assert type(x).__match_args__ == names
 
 
+def test_rows_given_as_a_list_are_kept_as_a_tuple():
+    """A list was stored as given: the graph could be changed through it,
+    did not hash, and was unequal to the same graph built from a tuple."""
+    rows = [2, 1]
+    g = Graph(2, rows)
+    rows.append(0)
+    assert g.rows == (2, 1) and type(g.rows) is tuple
+    assert g == Graph(2, (2, 1)) and hash(g) == hash(Graph(2, (2, 1)))
+
+
 def test_positional_match_pattern():
     match Graph(2, (2, 1)):
         case Graph(n, rows):
