@@ -12,6 +12,7 @@ stderr as one line.  Exit codes: 0 success, 1 usage error, 2 parse error
 from __future__ import annotations
 
 import argparse
+import codecs
 import decimal
 import io
 import json
@@ -40,11 +41,11 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graph6 import edge_list_order, graph6_order, graph6_records, parse_edge_list
+from .graph6 import edge_list_order, first_record, graph6_order, parse_edge_list
 from .graph6 import parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
-from .scanning import scan_corpus, scan_labeled
+from .scanning import scan_corpus, scan_labeled, text_blocks
 
 _JSON_SAFE_MAX = 2**53
 
@@ -74,32 +75,50 @@ def _mode(args: argparse.Namespace) -> str:
     return "total" if getattr(args, "total", False) else "dominating"
 
 
+def _decoded(raw: io.BufferedIOBase) -> Iterator[str]:
+    """The text of ``raw`` as ``io.TextIOWrapper(raw, "ascii")`` decodes it
+    line by line, with the same pair of decoders: ASCII under universal
+    newlines, one piece per ``read1`` of ``io.DEFAULT_BUFFER_SIZE`` bytes.
+    So a byte the decoder rejects is met at the same read."""
+    decoder = codecs.getincrementaldecoder("ascii")()
+    decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    while data := raw.read1(io.DEFAULT_BUFFER_SIZE):
+        if text := decoder.decode(data):
+            yield text
+    if text := decoder.decode(b"", final=True):
+        yield text
+
+
 @contextmanager
-def _open_text(path: str) -> Iterator[io.TextIOWrapper]:
-    """A file, or stdin (left open) for '-', as ASCII with universal newlines."""
+def _open_text(path: str) -> Iterator[Iterator[str]]:
+    """The decoded text (:func:`_decoded`) of a file, or of stdin (left
+    open) for '-'."""
     if path == "-" and sys.stdin is None:  # the process started without fd 0
         raise OSError("standard input is closed")
     with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as raw:
-        handle = io.TextIOWrapper(raw, encoding="ascii")
         try:
-            yield handle
+            yield _decoded(raw)
         except UnicodeDecodeError as exc:  # its position counts from the last read
             message = f"'ascii' codec can't decode byte {exc.object[exc.start]:#04x}"
             raise GraphParseError(message) from None
-        finally:
-            handle.detach()  # the file is closed by the with; stdin stays open
 
 
 def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
     """The --in graph.  With ``counting``, an order past the counting cap is
     refused from the count line or size field, before the body is parsed."""
     edges = args.format == "edges"
-    with _open_text(args.infile) as handle:
-        # a graph6 input is its first record; the rest is decoded, not kept,
-        # in reads of bounded size rather than lines, which can be long
-        text = handle.read() if edges else next(graph6_records(handle), "")
-        while handle.read(io.DEFAULT_BUFFER_SIZE):
-            pass
+    with _open_text(args.infile) as pieces:
+        if edges:
+            text = "".join(pieces)
+        else:
+            # a graph6 input is its first record; the rest is decoded, not
+            # kept, piece by piece rather than in lines, which can be long,
+            # and then the blocks raise a failed read they held back
+            blocks = text_blocks(pieces)
+            head = first_record(blocks)
+            text = head[0] if head else ""
+            for _ in chain(pieces, blocks):
+                pass
     if not (edges or text):
         raise GraphParseError("no graph6 record found in input")
     order = edge_list_order(text) if edges else graph6_order(text)
@@ -187,19 +206,19 @@ def _cmd_optimize(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     mode = _mode(args)
     if args.corpus:
-        with _open_text(args.corpus) as handle:
+        with _open_text(args.corpus) as pieces:
             # the first record: --n must match its order and the counting cap
-            # admit it; with "\n" added, the scan reads a canonical one unparsed
-            first = next(graph6_records(handle), "")
-            order = graph6_order(first)
+            # admit it; the scan reads it, and the rest of its block, next
+            blocks = text_blocks(pieces)
+            head = first_record(blocks)
+            order = graph6_order(head[0]) if head else None
             if order is not None:
                 if args.n is not None and order != args.n:
                     raise MixedOrderError(
                         f"corpus has order {order}, --n {args.n} was requested"
                     )
                 check_countable(order)
-            lines = chain([first + "\n"], handle)
-            record = scan_corpus(lines, mode, strict=not args.lenient)
+            record = scan_corpus(chain(head, blocks), mode, strict=not args.lenient)
     else:
         if args.n is None:
             raise InfeasibleOrderError("scan needs --n or --corpus")

@@ -17,10 +17,11 @@ and joins the columns.  The parser lays the columns out as the lower
 triangle of a row-major n x n character matrix; row v is then its own slice
 of row v plus the strided slice down column v, so C does the transpose.
 
-A scan reads the canonical records of a block of lines at once
-(:func:`canonical_reader`): each byte column of the block is a strided
-slice, which one ``bytes.translate`` and ``int(..., 2)`` turn into a bit
-plane, one lane per line, to check a byte rule or to read an edge.
+A scan reads canonical records many at once (:func:`canonical_reader`),
+from a text of whole lines as read or from a block of lines joined: with
+the records back to back, each byte column is a strided slice, which one
+``bytes.translate`` and ``int(..., 2)`` turn into a bit plane, one lane
+per record, to check a byte rule or to read an edge.
 
 The edge-list writer works on whole rows the same way.  Row u's neighbours
 above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
@@ -31,6 +32,7 @@ lines.
 from __future__ import annotations
 
 import binascii
+import io
 import re
 import warnings
 from math import comb
@@ -102,6 +104,25 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
     [63, 126], a truncated or over-long record, or nonzero padding bits in
     strict mode; raises :class:`SizeLimitError` past the vertex cap.
     """
+    n, stream = graph6_bits(record, strict)
+    nbits = comb(n, 2)
+    bits = format(stream, f"0{nbits}b")
+    zeros = "0" * n
+    # Row j holds column j of the stream: (i, j) at j*n + i for i < j.
+    matrix = "".join(
+        bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)
+    )
+    rows = [
+        int((matrix[v * n : v * n + v] + matrix[v * n + v :: n])[::-1], 2)
+        for v in range(n)
+    ]
+    return Graph(n, tuple(rows))
+
+
+def graph6_bits(record: str | bytes, strict: bool = True) -> tuple[int, int]:
+    """A graph6 record's order and its C(n, 2) body bits as one integer,
+    first bit most significant, with every check (and warning) of
+    :func:`parse_graph6` but without the graph."""
     data, base = _record_data(record)
     if bad := data[base:].translate(None, _GRAPH6_DIGITS):  # bytes out of range
         offset = data.index(bad[:1], base)
@@ -136,18 +157,7 @@ def parse_graph6(record: str | bytes, strict: bool = True) -> Graph:
         if strict:
             raise GraphParseError(message, position=base + consumed + nbytes - 1)
         warnings.warn(message)
-    stream >>= padding
-    bits = format(stream, f"0{nbits}b")
-    zeros = "0" * n
-    # Row j holds column j of the stream: (i, j) at j*n + i for i < j.
-    matrix = "".join(
-        bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)
-    )
-    rows = [
-        int((matrix[v * n : v * n + v] + matrix[v * n + v :: n])[::-1], 2)
-        for v in range(n)
-    ]
-    return Graph(n, tuple(rows))
+    return n, stream >> padding
 
 
 def _size_field(n: int) -> bytes:
@@ -193,17 +203,24 @@ def _bad_table(good: Iterable[int]) -> bytes:
 
 def canonical_reader(
     n: int,
-) -> Callable[[Sequence[str | bytes]], tuple[Sequence[int], int, list[int]]]:
-    """A reader of the canonical order-n records in a block of lines.
+) -> Callable[
+    [str | bytes | Sequence[str | bytes]], tuple[Sequence[int], int, list[int]]
+]:
+    """A reader of the canonical order-n records in a text of whole lines,
+    or in a block of lines.
 
     A line is a canonical record when it is ``write_graph6`` of a graph of
     order n plus ``"\\n"``: that size field and length, every body byte in
     [63, 126], zero padding bits and the newline.  Given a block, the
     reader returns the positions of the lines of that length, the lanes
     (lane i for position i) that hold canonical records, and the lines'
-    C(n, 2) edge planes in body (column-major) order.  A block that mixes
-    ``str`` and ``bytes`` lines of that length, or holds a non-ASCII one,
-    gets none of the three.
+    C(n, 2) edge planes in body (column-major) order.  Given a text (a
+    ``str``, ``bytes`` or ``bytearray``), it reads the text as records of that length back
+    to back, at positions 0, 1, ..., without splitting it into lines:
+    where every one is canonical, those are the text's lines.  A text whose
+    length is not a multiple of the record's, a non-ASCII one, and a block
+    that mixes ``str`` and ``bytes`` lines of that length or holds a
+    non-ASCII one get none of the three.
     """
     field = _size_field(n)
     nbits = comb(n, 2)
@@ -217,18 +234,25 @@ def canonical_reader(
         checks[-1] = (body.stop - 1, _bad_table(good))
     checks.append((body.stop, _bad_table(b"\n")))
 
-    def read(block: Sequence[str | bytes]) -> tuple[Sequence[int], int, list[int]]:
-        if set(map(len, block)) == {stride}:
-            at: Sequence[int] = range(len(block))
-            lines = block
+    def read(
+        block: str | bytes | Sequence[str | bytes],
+    ) -> tuple[Sequence[int], int, list[int]]:
+        if isinstance(block, (str, bytes, bytearray)):
+            count, left = divmod(len(block), stride)
+            at: Sequence[int] = range(0 if left else count)
+            joined = block
         else:
-            at = [i for i, line in enumerate(block) if len(line) == stride]
-            lines = [block[i] for i in at]
-        try:
-            joined = lines[0][:0].join(lines)
-        except (IndexError, TypeError):  # no such line, or str and bytes
-            return [], 0, []
-        if not joined.isascii():
+            if set(map(len, block)) == {stride}:
+                at = range(len(block))
+                lines = block
+            else:
+                at = [i for i, line in enumerate(block) if len(line) == stride]
+                lines = [block[i] for i in at]
+            try:
+                joined = lines[0][:0].join(lines)
+            except (IndexError, TypeError):  # no such line, or str and bytes
+                return [], 0, []
+        if not at or not joined.isascii():
             return [], 0, []
         data = joined.encode("ascii") if isinstance(joined, str) else joined
         columns = [data[p::stride][::-1] for p in range(stride)]
@@ -252,6 +276,32 @@ def graph6_records(lines: Iterable[str | bytes]) -> Iterator[str | bytes]:
     for line in lines:
         if record := line.strip(_BLANK if isinstance(line, str) else _BLANK_BYTES):
             yield record
+
+
+def first_record(texts: Iterable[str | bytes]) -> tuple[str | bytes, ...]:
+    """The first graph6 record in texts of whole lines, as
+    :func:`graph6_records` strips it, plus ``"\\n"``, and the text after
+    its line in its text; the texts are read up to the one that holds it.
+    Empty when there is no record."""
+    for text in texts:
+        blank, end = (_BLANK, "\n") if isinstance(text, str) else (_BLANK_BYTES, b"\n")
+        if head := text.lstrip(blank):
+            line, _, rest = head.partition(end)
+            return line.rstrip(blank) + end, rest
+    return ()
+
+
+def split_lines(texts: Iterable[str | bytes]) -> Iterator[str | bytes]:
+    """The lines of texts of whole lines, split at ``"\\n"`` and nowhere
+    else, each keeping it."""
+    for text in texts:
+        end = "\n" if isinstance(text, str) else b"\n"
+        if not 0 <= text.find(end) < len(text) - 1:  # one line, or none
+            yield text
+        elif end == "\n":
+            yield from io.StringIO(text, newline="\n")
+        else:
+            yield from io.BytesIO(text)
 
 
 def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[Graph]:

@@ -23,25 +23,31 @@ give identical records on identical inputs:
 * ``extremal_scan`` -- a stream of ``Graph`` objects of one order, in
   blocks of ``SCAN_BLOCK`` (:func:`in_blocks`), with planes read from the
   graphs' rows, each a run of one block with no constant plane;
-* ``scan_corpus`` -- graph6 corpus lines, likewise.  Canonical records
-  are read straight from their bytes by ``graph6.canonical_reader``; any
-  other line goes through ``parse_graph6``, in file order.
+* ``scan_corpus`` -- a graph6 corpus, as texts of whole lines: blocks of
+  ``TEXT_BLOCK`` characters as read (:func:`text_blocks`), or single
+  lines.  A text that is a run of canonical records of the corpus order is
+  read straight from its bytes by ``graph6.canonical_reader`` and goes
+  through the kernel whole, with no ``str`` per line.  Any other text is
+  split into lines, which go in blocks of ``SCAN_BLOCK`` through the same
+  reader, and any line it does not take goes through ``parse_graph6``, in
+  file order.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from operator import and_, or_
 from typing import Iterable, Iterator, TypeVar
 
-from .domination import Mode, check_countable, check_mode
+from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
-from .graph6 import _BIT, _plane, canonical_reader, graph6_order, graph6_records
-from .graph6 import iter_graph6, write_graph6
-from .graphs import Frozen, Graph, VertexSet, check_order, from_edges, select_bits
+from .graph6 import _BIT, _plane, canonical_reader, first_record, graph6_bits
+from .graph6 import graph6_order, iter_graph6, split_lines, write_graph6
+from .graphs import Frozen, Graph, VertexSet, check_order, from_edges, new_graph
+from .graphs import select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
 ENUMERATION_MAX_N = 7
@@ -60,12 +66,24 @@ ENUMERATION_MAX_N = 7
 #   2^21       29.4 / 31.7 ms   33.8-37.1 MB (all of order 7 in one block)
 CHUNK_BITS = 16
 
-# Graphs (or corpus lines) per kernel call outside the labeled enumeration.
-# `scan --corpus` on 25 000 order-8 records (2-vCPU x86, fresh processes,
-# median of 9; scan ms dominating / total, then peak RSS): 256 lines 13.2 /
-# 13.3 ms 14.7 MB, 512 10.9 / 9.9 ms 14.7 MB, 1024 7.3 / 7.6 ms 14.9 MB,
-# 2048 6.5 / 6.5 ms 15.0 MB, 4096 6.0 / 6.1 ms 15.4 MB, 8192 6.1 / 6.0 ms
-# 15.9 MB.  Past 1024 each doubling saves at most 1 ms and adds peak RSS.
+# Characters per corpus text block: the whole lines read once this much text
+# has been read.  `scan --corpus` on 25 000 order-8 records (175 000 bytes)
+# on a 2-vCPU x86 VM: scan ms dominating / total and the process's peak RSS
+# (fresh processes, median of 15; the RSS varies by about 0.2 MB from run
+# to run), then the traced peak of a second scan in one process:
+#   8 KiB     7.9 / 8.6 ms   15.5 MB    110 KB
+#   16 KiB    6.8 / 7.1 ms   15.6 MB    147 KB
+#   32 KiB    6.7 / 6.8 ms   15.6 MB    230 KB
+#   64 KiB    5.9 / 5.9 ms   15.5 MB    410 KB
+#   128 KiB   5.8 / 5.8 ms   15.6 MB    671 KB
+#   256 KiB   6.6 / 5.6 ms   15.7 MB   1027 KB
+# Blocks of 1024 lines, a str each, took 12.3 / 11.6 ms, 15.5 MB and 186 KB.
+# Past 64 KiB a block saves no time, and the traced peak keeps growing.
+TEXT_BLOCK = 1 << 16
+
+# Graphs, or corpus lines outside canonical text blocks, per kernel call.
+# Chosen on corpus lines, before text blocks, against 256 to 8192 lines:
+# past 1024 each doubling saved at most 1 ms of 7 and added peak RSS.
 SCAN_BLOCK = 1024
 
 
@@ -227,9 +245,39 @@ def pair_counts(
 _T = TypeVar("_T")
 
 
+def text_blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """Text, read in pieces, in blocks of whole lines: the whole lines read
+    so far, once the text read comes to ``TEXT_BLOCK`` characters, then the
+    rest.  A line is kept whole, however long.  A failed read is raised
+    only after the whole lines read before it have been handed out, as in
+    :func:`in_blocks`."""
+    whole: list[str] = []  # pieces up to the last "\n" read
+    part: list[str] = []  # the line read since
+    size = 0
+    try:
+        for piece in pieces:
+            size += len(piece)
+            if end := piece.rfind("\n") + 1:
+                whole += part
+                whole.append(piece[:end])
+                part = [piece[end:]]
+            else:
+                part.append(piece)
+            if whole and size >= TEXT_BLOCK:
+                block, whole = "".join(whole), []
+                size -= len(block)
+                yield block
+    except Exception:
+        if whole:
+            yield "".join(whole)
+        raise
+    if rest := "".join(whole + part):
+        yield rest
+
+
 def in_blocks(items: Iterable[_T]) -> Iterator[list[_T]]:
-    """Items (corpus lines or graphs) in blocks of ``SCAN_BLOCK``, the last
-    one shorter.
+    """Items (graphs, or corpus lines outside canonical text blocks) in
+    blocks of ``SCAN_BLOCK``, the last one shorter.
 
     A failed read (for example a byte the text decoder rejects, or a record
     ``parse_graph6`` refuses) is raised only after the items read before it
@@ -254,9 +302,9 @@ class PairMaximum:
     """Running γ=2 maximum over a stream of graphs of one order: the
     largest (total) dominating pair count among graphs with domination
     number exactly 2, its byte-smallest graph6 witness, and the number of
-    graphs seen.  The order ``n`` is the first graph's or the first
-    record's, unless it is set first.  An order past the counting cap is
-    refused there."""
+    graphs seen.  The order ``n`` is the first graph's, or the first
+    record's (:meth:`read_order`), unless it is set first.  An order past
+    the counting cap is refused there."""
 
     def __init__(self, mode: str):
         check_mode(mode)
@@ -266,6 +314,7 @@ class PairMaximum:
         self.witness: str | None = None
         self.scanned = 0
         self._read = None  # canonical_reader of the corpus order
+        self._stride = 0  # the length of its lines
 
     def add_run(self, planes: list[int], lanes: int, starts: Iterable[int]) -> None:
         """Fold in a run of aligned blocks of graphs that share their low
@@ -319,8 +368,21 @@ class PairMaximum:
         ]
         self.add_run(planes, (1 << len(block)) - 1, [0])
 
+    def read_order(self, record: str | bytes, strict: bool) -> None:
+        """Take the stream's order from its first graph6 record, and the
+        reader of canonical records of that order.  An order past the
+        counting cap is refused here, after the record's own error or
+        warning from ``parse_graph6``, as parsing it first would give."""
+        self.n = graph6_order(record)
+        if self.n is None or self.n > COUNT_VERTEX_CAP:
+            graph6_bits(record, strict)  # raises or warns, as parse_graph6
+        check_countable(self.n)
+        self._read = canonical_reader(self.n)
+        self._stride = len(write_graph6(new_graph(self.n))) + 1  # a canonical line
+
     def add_lines(self, block: list[str | bytes], strict: bool) -> None:
-        """Take a block of graph6 corpus lines (blank lines skipped).
+        """Take a block of graph6 corpus lines (blank lines skipped), once
+        the order is set.
 
         Canonical records of the stream's order are read by its
         ``canonical_reader`` and go through the kernel as one block; a
@@ -328,20 +390,37 @@ class PairMaximum:
         record is parsed by ``parse_graph6`` in file order; canonical
         records never raise, so errors and warnings come out in file order.
         """
-        if self.n is None:
-            # the first record's order; one it cannot read stays unset, and
-            # iter_graph6 below raises that record's error in stream order
-            self.n = graph6_order(next(graph6_records(block), ""))
-            if self.n is not None:
-                check_countable(self.n)
-                self._read = canonical_reader(self.n)
-        at, ok, planes = self._read(block) if self._read else ((), 0, [])
+        at, ok, planes = self._read(block)
         if ok != (1 << len(block)) - 1:
             canonical = set(select_bits(ok, at))
             rest = (line for i, line in enumerate(block) if i not in canonical)
-            self.add_graphs(iter_graph6(rest, strict))
+            self.add_graphs(iter_graph6(split_lines(rest), strict))
         if ok:
             self.add_run(planes, ok, [0])
+
+    def corpus_lines(self, texts: Iterable[str | bytes]) -> Iterator[str | bytes]:
+        """The lines of texts of whole corpus lines, once the order is set,
+        less the runs of canonical records that it takes as it reads them.
+
+        A text longer than a canonical line goes through the kernel whole
+        when it is a run of canonical records of the stream's order, read by
+        its ``canonical_reader``, and is split into lines otherwise.  A
+        shorter text is handed on as a line, since it can hold no run:
+        :meth:`add_lines` splits it if it holds more.  A run never raises or
+        warns, and the record does not depend on the order in which graphs
+        are taken, so taking a run ahead of the lines before it changes
+        nothing.
+        """
+        for text in texts:
+            if len(text) <= self._stride:
+                if text:
+                    yield text
+                continue
+            at, ok, planes = self._read(text)
+            if at and ok == (1 << len(at)) - 1:
+                self.add_run(planes, ok, [0])
+            else:
+                yield from split_lines([text])
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -402,27 +481,34 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
 
 
 def scan_corpus(
-    lines: Iterable[str | bytes], mode: Mode, strict: bool = True
+    texts: Iterable[str | bytes], mode: Mode, strict: bool = True
 ) -> ExtremalRecord:
     """:func:`extremal_scan` (target 2) over a graph6 corpus, one record
-    per line, blank lines skipped: the same record and errors as
-    ``extremal_scan(iter_graph6(lines, strict), mode)``, and its warnings
-    up to the first refused record (that scan reads the rest of the
-    record's block first, and may warn about it).
+    per line, blank lines skipped, given as texts of whole lines (single
+    lines, or blocks of them such as :func:`text_blocks` makes), each split
+    at ``"\\n"`` only: the same record and errors as
+    ``extremal_scan(iter_graph6(lines, strict), mode)`` on those lines, and
+    its warnings up to the first refused record (that scan reads the rest
+    of the record's block first, and may warn about it).
 
-    Lines are read in bounded blocks.  Canonical records of the first
-    record's order are read straight from their bytes into edge planes, and
-    the witness is written from those planes; any other line goes through
+    The texts are read up to the first record, whose size field sets the
+    order: :class:`SizeLimitError` past the counting cap, after that
+    record's own error or warning and before anything after it is read.
+    Texts that are runs of canonical records of that order are read
+    straight from their bytes into edge planes, and the witness is written
+    from those planes; any other text is split into lines, read in bounded
+    blocks, and any line that is not a canonical record goes through
     :func:`parse_graph6`, in file order.  Raises :class:`GraphParseError`
-    when the corpus holds no record, and :class:`SizeLimitError` when the
-    first record's size field is past the counting cap, before any record
-    is parsed.
+    when the corpus holds no record.
     """
     best = PairMaximum(mode)
-    for block in in_blocks(lines):
-        best.add_lines(block, strict)
-    if best.n is None:
+    texts = iter(texts)
+    head = first_record(texts)
+    if not head:
         raise GraphParseError("no graph6 record found in corpus")
+    best.read_order(head[0], strict)
+    for block in in_blocks(best.corpus_lines(chain(head, texts))):
+        best.add_lines(block, strict)
     return _record(best)
 
 

@@ -39,14 +39,19 @@ The invocations:
 * ``gamma --in``, ``count --in`` and ``scan --corpus`` over a file of
   120 000 blank lines before its first record and a file of 3000 records
   (``stream_inputs``), in both modes, with and without ``--lenient``;
+* ``count --in`` and ``scan --corpus`` over a 200 KB canonical order-8
+  corpus with a blank line at each of the byte offsets in ``BLANKS_AT``
+  (both sides of the decoder's first 8 KiB read, and of the scan's 64 KiB
+  text block), and over the same corpus with CRLF line ends
+  (``block_inputs``), in both modes, with and without ``--lenient``;
 * ``gamma --in`` and ``count --in`` over ``LONE_INPUTS``: edge lists whose
   count line follows 70 000 comment characters (n = 65 with a loop on a
   later line, and a valid n = 5), and empty and whitespace-only files in
   both formats, in both modes, with and without ``--lenient``;
 * ``gamma --in -`` and ``count --in -`` in both formats, and ``scan
   --corpus -`` on graph6, with each of those corpora, separated files,
-  stream inputs and lone inputs fed through ``sys.stdin``, in both modes,
-  with and without ``--lenient``.
+  stream inputs, block inputs and lone inputs fed through ``sys.stdin``,
+  in both modes, with and without ``--lenient``.
 
 An invocation is (working directory, argv), or (working directory, argv,
 file to feed as standard input) for the ones that read ``-``.
@@ -82,6 +87,8 @@ SUBCOMMANDS = ("gamma", "count", "construct", "formula", "optimize", "scan", "ef
 ELAPSED = re.compile(r'"elapsed_ms": \d+')
 SEPARATORS = {"vt": b"\v", "ff": b"\f", "fs": b"\x1c", "gs": b"\x1d", "rs": b"\x1e",
               "cr": b"\r", "crlf": b"\r\n"}
+# scanning.TEXT_BLOCK, the scan's text block, is 64 KiB
+BLANKS_AT = (8191, 8192, 65535, 65537)
 LONG_HEADER = b"#" * 70_000 + b"\n"
 LONE_INPUTS = {
     "long_header_65.edges": LONG_HEADER + b"65\n0 1\n2 2\n",
@@ -166,6 +173,15 @@ def invocations(work: Path, seed: int) -> list[tuple]:
                      ["scan", "--corpus", path]):
             for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
                 runs.append((own, argv + flags))
+    blocks = work / own / "blocks"
+    blocks.mkdir()
+    for name, data in block_inputs(random.Random(seed)).items():
+        (blocks / name).write_bytes(data)
+        path = f"blocks/{name}"
+        fed.append((path, "g6"))
+        for argv in (["count", "--in", path], ["scan", "--corpus", path]):
+            for flags in ([], ["--total"], ["--lenient"], ["--total", "--lenient"]):
+                runs.append((own, argv + flags))
     lone = work / own / "lone"
     lone.mkdir()
     for name, data in LONE_INPUTS.items():
@@ -222,6 +238,33 @@ def stream_inputs(rng: random.Random) -> dict[str, bytes]:
         "blank_head_long.g6": b" \n\n\t\n" * 40_000 + b"".join(records[:3]),
         "many_records.g6": b"".join(records),
     }
+
+
+def block_inputs(rng: random.Random) -> dict[str, bytes]:
+    """A 200 KB corpus of canonical order-8 records with a blank line
+    starting at each offset of ``BLANKS_AT``, and the same corpus with CRLF
+    line ends, by file name.  The record before a blank line is led by
+    spaces to end where it starts, or the blank line before it holds
+    spaces up to there."""
+    import oracle
+
+    def record() -> bytes:
+        return oracle.encode_graph6(8, {pair for pair in oracle.pairs(8)
+                                        if rng.random() < 0.7}).encode() + b"\n"
+
+    data = b""
+    for at in BLANKS_AT:
+        if len(data) + 7 <= at:
+            count = (at - len(data)) // 7
+            data += b" " * (at - len(data) - 7 * count)
+            data += b"".join(record() for _ in range(count))
+        else:  # a blank line ends less than a record short of ``at``
+            data = data[:-1] + b" " * (at - len(data)) + b"\n"
+        data += b"\n"
+    data += b"".join(record() for _ in range((200_000 - len(data)) // 7))
+    for at in BLANKS_AT:
+        assert data[at - 1] == 10 and not data[at : data.index(b"\n", at)].strip()
+    return {"blanks_lf.g6": data, "blanks_crlf.g6": data.replace(b"\n", b"\r\n")}
 
 
 def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:

@@ -8,7 +8,7 @@ of the kernel's pair counting, its bit slicing and its block boundaries.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from domcount import (
     ExtremalRecord,
@@ -71,12 +71,24 @@ def oracle_extremal_scan(
     )
 
 
+def split_lines(texts: Iterable[str | bytes]) -> Iterator[str | bytes]:
+    """The lines of texts of whole lines, split at ``"\\n"`` and only
+    there, each line keeping it."""
+    for text in texts:
+        end = "\n" if isinstance(text, str) else b"\n"
+        *lines, last = text.split(end)
+        yield from (line + end for line in lines)
+        if last:
+            yield last
+
+
 def oracle_scan_corpus(
-    lines: Iterable[str], mode: str, strict: bool = True
+    texts: Iterable[str | bytes], mode: str, strict: bool = True
 ) -> ExtremalRecord:
-    """The corpus scan as the CLI ran it before: every line through
-    ``iter_graph6``, every graph through :func:`oracle_extremal_scan`."""
-    graphs = iter_graph6(lines, strict=strict)
+    """The corpus scan as the CLI ran it before: every line of the texts
+    through ``iter_graph6``, every graph through
+    :func:`oracle_extremal_scan`."""
+    graphs = iter_graph6(split_lines(texts), strict=strict)
     first = next(graphs, None)
     if first is None:
         raise GraphParseError("no graph6 record found in corpus")

@@ -10,7 +10,9 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from math import comb
 from pathlib import Path
@@ -29,8 +31,10 @@ from domcount import (
     new_graph,
     write_graph6,
 )
-from domcount.cli import run_cli
-from domcount.scanning import SCAN_BLOCK, PairMaximum, in_blocks, scan_corpus
+from domcount.cli import _decoded, run_cli
+from domcount.errors import SizeLimitError
+from domcount.scanning import SCAN_BLOCK, TEXT_BLOCK, PairMaximum, in_blocks
+from domcount.scanning import scan_corpus, text_blocks
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -55,6 +59,26 @@ def assert_matches_oracle(path, extra=()):
         shipped = cli_outcome(argv)
         with mock.patch("domcount.cli.scan_corpus", oracle_scan_corpus):
             assert shipped == cli_outcome(argv), argv
+
+
+def assert_stdin_matches_oracle(monkeypatch, path):
+    """:func:`assert_matches_oracle` with the corpus fed through stdin, where
+    both scans must also report what they report on the file."""
+    for mode in MODES:
+        from_file = cli_outcome(["scan", "--corpus", str(path), *mode])
+        for scan in (scan_corpus, oracle_scan_corpus):
+            stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()))
+            monkeypatch.setattr(sys, "stdin", stdin)
+            with mock.patch("domcount.cli.scan_corpus", scan):
+                assert cli_outcome(["scan", "--corpus", "-", *mode]) == from_file, (
+                    mode, scan
+                )
+
+
+def cli_text_blocks(data):
+    """The text blocks the CLI hands the scan for a corpus file's bytes
+    (its first record's line aside)."""
+    return list(text_blocks(_decoded(io.BytesIO(data))))
 
 
 def random_record(rng, n, density=None):
@@ -203,11 +227,13 @@ class TestAgainstOracle:
     def test_canonical_corpus_is_never_parsed(self, tmp_path, monkeypatch, head):
         # the first record reaches the scan with a line end, and no blank
         # line before it does, so no block of a canonical corpus leaves the
-        # canonical path
+        # canonical path: not the first text block, which the CLI reads
+        # past the first record, and not the others
         rng = random.Random(17)
-        lines = [random_record(rng, 8, 5 / 8) for _ in range(SCAN_BLOCK + 30)]
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(3 * TEXT_BLOCK // 7 + 30)]
         path = tmp_path / "corpus.g6"
         path.write_bytes(head + b"\n".join(lines) + b"\n")
+        assert len(cli_text_blocks(path.read_bytes())) >= 3
         parsed = []
         add_graphs = PairMaximum.add_graphs
 
@@ -229,6 +255,98 @@ class TestAgainstOracle:
         path = tmp_path / "corpus.g6"
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert_matches_oracle(path)
+
+
+class TestTextBlocks:
+    """Lines at the edges of the text blocks and of the 8 KiB reads the CLI
+    hands the scan, from a file and from stdin, against the oracle.  Order
+    30 (75 bytes a line, 3 padding bits) keeps the oracle's share small."""
+
+    N = 30
+    STRIDE = 75
+    READ = 8192  # io.DEFAULT_BUFFER_SIZE, the decoder's read
+
+    def fill(self, rng, length):
+        """``length`` bytes of order-N canonical record lines, the first
+        one after enough spaces to make up the length (the CLI strips the
+        first record's line, so the rest of its text block stays
+        canonical)."""
+        count, spaces = divmod(length, self.STRIDE)
+        lines = [random_record(rng, self.N, 5 / 8) + b"\n" for _ in range(count)]
+        assert lines or not spaces
+        return b" " * spaces + b"".join(lines)
+
+    def check(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(data)
+        assert_matches_oracle(path)
+        assert_stdin_matches_oracle(monkeypatch, path)
+        # the oracle above reads the blocks the CLI hands the scan; here it
+        # reads the lines of an io.TextIOWrapper
+        for total, lenient in ((False, False), (True, True)):
+            argv = ["scan", "--corpus", str(path)]
+            argv += ["--total"] * total + ["--lenient"] * lenient
+            mode = "total" if total else "dominating"
+            want, _ = api_outcome(oracle_scan_corpus, data, mode, not lenient)
+            code, report, _ = cli_outcome(argv)
+            if isinstance(want, tuple):
+                assert code == 2 and report is None
+            else:
+                assert code == 0 and report == {
+                    "n": want.n, "mode": mode, "gamma": 2, "count": want.max_count,
+                    "witness": want.witness, "graphs_scanned": want.graphs_scanned,
+                }
+
+    def special(self, kind, rng):
+        record = random_record(rng, self.N)
+        return {
+            "blank": b"\n",
+            "spaces": b"  \n",
+            "header": b">>graph6<<" + record + b"\n",
+            "padded": mutate(record, "padding", self.N, rng) + b"\n",
+            "other_order": random_record(rng, self.N + 1) + b"\n",
+            "lone_cr": record + b"\r",
+            "cr": b"\r",
+        }[kind]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize(
+        "kind", ["blank", "spaces", "header", "padded", "other_order", "lone_cr", "cr"]
+    )
+    def test_line_at_a_block_edge(self, tmp_path, monkeypatch, kind, where):
+        rng = random.Random(f"{kind}-{where}")
+        line = self.special(kind, rng)
+        if where == "first":
+            # the first block ends at TEXT_BLOCK, the last byte of a read
+            data = self.fill(rng, TEXT_BLOCK) + line + self.fill(rng, 40 * self.STRIDE)
+            assert len(cli_text_blocks(data)[0]) == TEXT_BLOCK
+        else:
+            # the line ends a byte short of the read, and the next straddles
+            head = self.fill(rng, TEXT_BLOCK - len(line) - 1) + line
+            data = head + self.fill(rng, 40 * self.STRIDE)
+            assert len(cli_text_blocks(data)[0]) == len(head)
+        self.check(tmp_path, monkeypatch, data)
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("at", [READ - 1, 2 * READ - 1, TEXT_BLOCK - 1])
+    def test_cr_as_the_last_byte_of_a_read(self, tmp_path, monkeypatch, ending, at):
+        # the decoder holds the "\r" back until the next read, which starts
+        # with the "\n" of a CRLF or with the next record
+        rng = random.Random(at)
+        record = random_record(rng, self.N)
+        data = self.fill(rng, at - len(record)) + record + ending
+        assert data[at:] == ending
+        self.check(tmp_path, monkeypatch, data + self.fill(rng, 40 * self.STRIDE))
+
+    @pytest.mark.parametrize("end", [b"\n", b""])
+    def test_canonical_corpus_past_two_blocks(self, tmp_path, monkeypatch, end):
+        # 2 * TEXT_BLOCK + 5 lines' worth of bytes, with or without a
+        # final newline
+        rng = random.Random(len(end))
+        data = self.fill(rng, (2 * TEXT_BLOCK // self.STRIDE + 5) * self.STRIDE)
+        data = data[:-1] + end
+        assert len(cli_text_blocks(data)) == 3 and len(data) % TEXT_BLOCK
+        self.check(tmp_path, monkeypatch, data)
 
 
 @pytest.mark.parametrize("mode", ["dominating", "total"])
@@ -318,6 +436,34 @@ class TestLineTypes:
         assert (type(want[0]) is tuple) == (strict or malformed)
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_texts_of_many_lines_scan_as_their_lines(self, mode, strict, malformed):
+        """Texts of whole lines, canonical runs or not, str, bytes or
+        bytearray, are split at "\\n" and nowhere else: the same record,
+        errors and warnings as their lines."""
+        rng = random.Random(13)
+        lines = [random_record(rng, 8) for _ in range(3000)]
+        lines[1500] = mutate(lines[1500], "padding", 8, rng)
+        lines[2999] = b"C~\rC~\x1c"  # a lone "\r" is not a line end here
+        if malformed:
+            lines[2000] = mutate(lines[2000], "truncated", 8, rng)
+        lines = [line + b"\n" for line in lines]
+        want = lines_outcome(scan_graph6, lines, mode, strict)
+        for cuts in ([0, 1000, 1001, 2400, 3000], [0, 3000], [0, 1, 2, 3000]):
+            texts = [b"".join(lines[a:b]) for a, b in zip(cuts, cuts[1:])]
+            for kind in (bytes, bytearray, lambda text: text.decode("ascii")):
+                texts_of_kind = list(map(kind, texts))
+                assert lines_outcome(scan_corpus, texts_of_kind, mode, strict) == want
+        error = "nonzero padding" if strict else "truncated" if malformed else "byte 13"
+        assert want[0][1].startswith(error) and len(want[1]) == (not strict)
+        # texts no longer than a canonical line may hold two lines each
+        texts = [b"".join(lines[:5]), b"\n\n", b"??\n??\n"]
+        want = lines_outcome(scan_graph6, [*lines[:5], b"\n", b"\n", b"??\n"], mode, strict)
+        assert lines_outcome(scan_corpus, texts, mode, strict) == want
+        assert want[0][1].startswith("trailing bytes")
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
     def test_non_ascii_line_of_canonical_length(self, mode):
         """A str line of a canonical record's length with a non-ASCII
         character sends its block to the parser, which refuses that line."""
@@ -344,6 +490,19 @@ class TestFailedRead:
         blocks = in_blocks(self.failing(lines, SCAN_BLOCK + 20))
         assert next(blocks) == lines[:SCAN_BLOCK]
         assert next(blocks) == lines[SCAN_BLOCK : SCAN_BLOCK + 20]
+        with pytest.raises(UnicodeDecodeError):
+            next(blocks)
+
+    def test_whole_lines_read_before_the_error_are_handed_out(self):
+        # pieces of text as the decoder reads them, a line across each cut;
+        # the line cut by the failed read is not handed out
+        text = "".join(f"{i}\n" for i in range(TEXT_BLOCK // 3))
+        pieces = [text[i : i + 1000] for i in range(0, len(text), 1000)]
+        blocks = text_blocks(self.failing(pieces, len(pieces) - 1))
+        first = next(blocks)
+        assert len(first) >= TEXT_BLOCK - 1000 and first.endswith("\n")
+        read = "".join(pieces[:-1])
+        assert first + next(blocks) == read[: read.rindex("\n") + 1]
         with pytest.raises(UnicodeDecodeError):
             next(blocks)
 
@@ -407,6 +566,54 @@ class TestOrderChecks:
         assert code == 4 and report is None
         assert err == "domcount: size limit: counting supports n <= 64, got n=65\n"
         assert_matches_oracle(path)
+
+    def test_first_record_past_the_cap_is_refused_before_the_next(self):
+        """The API refuses the order at the first record's size field: it
+        read a block of SCAN_BLOCK lines first, so 1024 records of K_4096
+        (about 1.4 GB) were held only to be refused."""
+        record = write_graph6(complete_graph(2000)) + "\n"
+        read = 0
+
+        def records():
+            nonlocal read
+            for _ in range(20):
+                read += 1
+                yield record[:-1] + "\n"  # a string of its own, as read
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="got n=2000"):
+                scan_corpus(records(), "dominating")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == 1 and peak < 2 * 2**20
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "data, refused",
+        [
+            (K65[:-2] + b"\n", ()),
+            (K65[:-1] + b"?\n", ()),
+            (K65[:-2] + b"\x7f\n", ()),
+            (K65[:-2] + bytes([K65[-2] + 1]) + b"\n", (False,)),
+            (K65 + b"G?!???\n", (True, False)),
+        ],
+        ids=["truncated", "over-long", "out-of-range", "padding", "then-broken"],
+    )
+    def test_first_record_past_the_cap_is_checked_at_the_api(
+        self, data, refused, strict
+    ):
+        # The API checks the first record as parse_graph6 does before it
+        # refuses its order, so its error, or its padding warning, comes
+        # first, as on the oracle; the CLI refuses at the size field
+        # (test_order_65_refused_before_parsing).  ``refused``: the strict
+        # values under which the order is refused.
+        outcome = api_outcome(scan_corpus, data, "dominating", strict)
+        assert outcome == api_outcome(oracle_scan_corpus, data, "dominating", strict)
+        error = "SizeLimitError" if strict in refused else "GraphParseError"
+        assert outcome[0][0] == error
+        assert len(outcome[1]) == (refused == (False,) and not strict)
 
     def test_requested_order_is_checked_first(self, tmp_path):
         path = tmp_path / "corpus.g6"

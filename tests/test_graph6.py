@@ -23,7 +23,7 @@ from domcount import (
     write_graph6,
 )
 from domcount.graph6 import canonical_reader, edge_list_order, graph6_order
-from domcount.graph6 import graph6_records, text_lines
+from domcount.graph6 import first_record, graph6_records, text_lines
 from domcount.scanning import graph_from_edge_mask, pair_order
 
 
@@ -335,6 +335,21 @@ class TestIterGraph6:
         with pytest.raises(GraphParseError, match="non-ASCII|out of graph6 range"):
             list(iter_graph6([line("C~\xa0")]))
 
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_first_record_of_texts(self, kind):
+        """The first record of texts of whole lines, stripped as
+        graph6_records strips it, with a "\\n", and the text after its
+        line; the texts after the one that holds it are left unread."""
+        def text(value):
+            return value if kind is str else value.encode("ascii")
+
+        blank = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+        texts = iter(map(text, ["", "\n \n", blank + "C~\x1c \r\nC]\n\n", "C?\n"]))
+        assert first_record(texts) == (text("C~\n"), text("C]\n\n"))
+        assert list(texts) == [text("C?\n")]
+        assert first_record(map(text, ["\n", " C~"])) == (text("C~\n"), text(""))
+        assert first_record(map(text, ["\n", blank])) == ()
+
 
 def reader_variants(n: int, rng: random.Random) -> dict[str, bytes]:
     """Lines for the canonical reader at order n: canonical records with
@@ -421,6 +436,26 @@ class TestCanonicalReader:
         block = [line.decode("ascii") if kind is str else line for line in lines]
         assert self.check(n, block).bit_count() == 3
 
+    @pytest.mark.parametrize("kind", [str, bytes])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_a_text_reads_as_its_lines(self, n, kind):
+        """A text of lines of the record's length, back to back, reads as
+        the block of those lines; a text of another length reads as none."""
+        stride = len(write_graph6(new_graph(n))) + 1
+        lines = [
+            line if kind is bytes else line.decode("ascii")
+            for line in reader_variants(n, random.Random(n)).values()
+            if len(line) == stride
+        ]
+        random.Random(-n).shuffle(lines)
+        text = lines[0][:0].join(lines)
+        at, ok, planes = canonical_reader(n)(text)
+        want_at, want_ok, want_planes = canonical_reader(n)(lines)
+        assert (list(at), ok, planes) == (list(want_at), want_ok, want_planes)
+        assert ok.bit_count() == 3
+        for other in (text[:-1], text + text[:1], text[:0]):
+            assert canonical_reader(n)(other) == ([], 0, [])
+
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_a_block_with_str_and_bytes_has_none(self, n):
         record = write_graph6(complete_graph(n)) + "\n"
@@ -438,6 +473,7 @@ class TestCanonicalReader:
         assert canonical_graph(other, n) is None
         assert canonical_reader(n)([other])[1] == 0
         assert canonical_reader(n)([record, other])[1] == 0
+        assert canonical_reader(n)(record + other)[1] == 0
 
 
 class TestEdgeList:
