@@ -18,10 +18,11 @@ triangle of a row-major n x n character matrix; row v is then its own slice
 of row v plus the strided slice down column v, so C does the transpose.
 
 A scan reads canonical records many at once (:func:`canonical_reader`),
-from a text of whole lines as read or from a block of lines joined: with
-the records back to back, each byte column is a strided slice, which one
-``bytes.translate`` and ``int(..., 2)`` turn into a bit plane, one lane
-per record, to check a byte rule or to read an edge.
+from one text of records back to back, in the one form
+:func:`corpus_texts` gives every corpus text: each byte column is a
+strided slice, which one ``bytes.translate`` and ``int(..., 2)`` turn into
+a bit plane, one lane per record, to check a byte rule or to read an
+edge.
 
 The edge-list writer works on whole rows the same way.  Row u's neighbours
 above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
@@ -36,7 +37,7 @@ import io
 import re
 import warnings
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import GraphParseError, SizeLimitError
 from .graphs import MAX_VERTICES, Graph, select_bits
@@ -67,10 +68,11 @@ def _decode_size(data: bytes, base: int) -> tuple[int, int]:
 
 def _record_data(record: str | bytes) -> tuple[bytes, int]:
     """A record's bytes without line ending, and the offset after the
-    optional header."""
+    optional header.  A ``str`` is encoded with ``"surrogateescape"``, so a
+    text :func:`corpus_texts` decoded gives back the bytes it was read from."""
     if isinstance(record, str):
         try:
-            data = record.encode("ascii")
+            data = record.encode("ascii", "surrogateescape")
         except UnicodeEncodeError as exc:
             raise GraphParseError(f"non-ASCII graph6 record: {exc}") from None
     else:
@@ -201,26 +203,18 @@ def _bad_table(good: Iterable[int]) -> bytes:
     return bytes(b"10"[byte in accepted] for byte in range(256))
 
 
-def canonical_reader(
-    n: int,
-) -> Callable[
-    [str | bytes | Sequence[str | bytes]], tuple[Sequence[int], int, list[int]]
-]:
-    """A reader of the canonical order-n records in a text of whole lines,
-    or in a block of lines.
+def canonical_reader(n: int) -> Callable[[str], tuple[int, list[int]]]:
+    """A reader of a text of canonical order-n records back to back.
 
     A line is a canonical record when it is ``write_graph6`` of a graph of
     order n plus ``"\\n"``: that size field and length, every body byte in
-    [63, 126], zero padding bits and the newline.  Given a block, the
-    reader returns the positions of the lines of that length, the lanes
-    (lane i for position i) that hold canonical records, and the lines'
-    C(n, 2) edge planes in body (column-major) order.  Given a text (a
-    ``str``, ``bytes`` or ``bytearray``), it reads the text as records of that length back
-    to back, at positions 0, 1, ..., without splitting it into lines:
-    where every one is canonical, those are the text's lines.  A text whose
-    length is not a multiple of the record's, a non-ASCII one, and a block
-    that mixes ``str`` and ``bytes`` lines of that length or holds a
-    non-ASCII one get none of the three.
+    [63, 126], zero padding bits and the newline.  The reader reads a text
+    as lines of that length, at positions 0, 1, ..., without splitting it:
+    where every one is canonical, those are the text's lines.  It returns
+    the lanes (lane i for position i) that hold canonical records and the
+    lines' C(n, 2) edge planes in body (column-major) order.  A text whose
+    length is not a multiple of the line's, an empty one and a non-ASCII
+    one get neither: ``(0, [])``.
     """
     field = _size_field(n)
     nbits = comb(n, 2)
@@ -234,33 +228,17 @@ def canonical_reader(
         checks[-1] = (body.stop - 1, _bad_table(good))
     checks.append((body.stop, _bad_table(b"\n")))
 
-    def read(
-        block: str | bytes | Sequence[str | bytes],
-    ) -> tuple[Sequence[int], int, list[int]]:
-        if isinstance(block, (str, bytes, bytearray)):
-            count, left = divmod(len(block), stride)
-            at: Sequence[int] = range(0 if left else count)
-            joined = block
-        else:
-            if set(map(len, block)) == {stride}:
-                at = range(len(block))
-                lines = block
-            else:
-                at = [i for i, line in enumerate(block) if len(line) == stride]
-                lines = [block[i] for i in at]
-            try:
-                joined = lines[0][:0].join(lines)
-            except (IndexError, TypeError):  # no such line, or str and bytes
-                return [], 0, []
-        if not at or not joined.isascii():
-            return [], 0, []
-        data = joined.encode("ascii") if isinstance(joined, str) else joined
+    def read(text: str) -> tuple[int, list[int]]:
+        count, left = divmod(len(text), stride)
+        if left or not count or not text.isascii():
+            return 0, []
+        data = text.encode("ascii")
         columns = [data[p::stride][::-1] for p in range(stride)]
         bad = 0
         for p, table in checks:
             bad |= _plane(columns[p], table)
         planes = [_plane(columns[body[k // 6]], _SEXTET[k % 6]) for k in range(nbits)]
-        return at, ((1 << len(at)) - 1) & ~bad, planes
+        return ((1 << count) - 1) & ~bad, planes
 
     return read
 
@@ -271,6 +249,20 @@ def text_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+_T = TypeVar("_T")
+
+
+def _each(items: Iterable[_T]) -> Iterable[_T]:
+    """``items``, refused when it is one text: its characters or bytes
+    would be read as lines."""
+    if isinstance(items, (str, bytes, bytearray)):
+        raise TypeError(
+            f"expected lines or a list of texts, not one {type(items).__name__}: "
+            "pass text.splitlines(keepends=True) or [text]"
+        )
+    return items
+
+
 def graph6_records(lines: Iterable[str | bytes]) -> Iterator[str | bytes]:
     """graph6 records: each line stripped of ``_BLANK``, if anything is left."""
     for line in lines:
@@ -278,35 +270,52 @@ def graph6_records(lines: Iterable[str | bytes]) -> Iterator[str | bytes]:
             yield record
 
 
-def first_record(texts: Iterable[str | bytes]) -> tuple[str | bytes, ...]:
+def corpus_texts(texts: Iterable[str | bytes]) -> Iterator[str]:
+    """Texts of whole corpus lines in one form, each made as it is read: a
+    ``str`` (``bytes`` and ``bytearray`` decoded as ASCII with
+    ``"surrogateescape"``, which :func:`_record_data` undoes, so a byte out
+    of range is still reported as that byte), with ``"\\r\\n"`` line ends
+    made ``"\\n"`` and a ``"\\n"`` after its last line."""
+    # map, unlike a generator, keeps no text alive between reads
+    return map(_corpus_text, _each(texts))
+
+
+def _corpus_text(text: str | bytes) -> str:
+    if not isinstance(text, str):
+        text = text.decode("ascii", "surrogateescape")
+    # on 64 KiB, 1 us against the replace's 100 us (2-vCPU x86 VM)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    return text if text[-1:] == "\n" or not text else text + "\n"
+
+
+def first_record(texts: Iterable[str]) -> tuple[str, ...]:
     """The first graph6 record in texts of whole lines, as
     :func:`graph6_records` strips it, plus ``"\\n"``, and the text after
     its line in its text; the texts are read up to the one that holds it.
     Empty when there is no record."""
     for text in texts:
-        blank, end = (_BLANK, "\n") if isinstance(text, str) else (_BLANK_BYTES, b"\n")
-        if head := text.lstrip(blank):
-            line, _, rest = head.partition(end)
-            return line.rstrip(blank) + end, rest
+        if head := text.lstrip(_BLANK):
+            line, _, rest = head.partition("\n")
+            return line.rstrip(_BLANK) + "\n", rest
     return ()
 
 
-def split_lines(texts: Iterable[str | bytes]) -> Iterator[str | bytes]:
+def split_lines(texts: Iterable[str]) -> Iterator[str]:
     """The lines of texts of whole lines, split at ``"\\n"`` and nowhere
     else, each keeping it."""
     for text in texts:
-        end = "\n" if isinstance(text, str) else b"\n"
-        if not 0 <= text.find(end) < len(text) - 1:  # one line, or none
+        if not 0 <= text.find("\n") < len(text) - 1:  # one line, or none
             yield text
-        elif end == "\n":
-            yield from io.StringIO(text, newline="\n")
         else:
-            yield from io.BytesIO(text)
+            yield from io.StringIO(text, newline="\n")
 
 
 def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[Graph]:
-    """Parse a stream of graph6 records, one per line; blank lines skipped."""
-    return (parse_graph6(record, strict=strict) for record in graph6_records(lines))
+    """Parse a stream of graph6 records, one per line; blank lines skipped.
+    One text is refused with :class:`TypeError`: pass its lines."""
+    records = graph6_records(_each(lines))
+    return (parse_graph6(record, strict=strict) for record in records)
 
 
 def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

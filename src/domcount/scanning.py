@@ -25,12 +25,13 @@ give identical records on identical inputs:
   graphs' rows, each a run of one block with no constant plane;
 * ``scan_corpus`` -- a graph6 corpus, as texts of whole lines: blocks of
   ``TEXT_BLOCK`` characters as read (:func:`text_blocks`), or single
-  lines.  A text that is a run of canonical records of the corpus order is
-  read straight from its bytes by ``graph6.canonical_reader`` and goes
-  through the kernel whole, with no ``str`` per line.  Any other text is
-  split into lines, which go in blocks of ``SCAN_BLOCK`` through the same
-  reader, and any line it does not take goes through ``parse_graph6``, in
-  file order.
+  lines, each made a ``str`` with ``"\\n"`` line ends once, as it is read
+  (``graph6.corpus_texts``).  A text that is a run of canonical records of
+  the corpus order is read straight from its bytes by
+  ``graph6.canonical_reader`` and goes through the kernel whole, with no
+  ``str`` per line.  Any other text is split into lines, which go in
+  blocks of ``SCAN_BLOCK`` through the same reader, and any line it does
+  not take goes through ``parse_graph6``, in file order.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Iterable, Iterator, TypeVar
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
-from .graph6 import _BIT, _plane, canonical_reader, first_record, graph6_bits
-from .graph6 import graph6_order, iter_graph6, split_lines, write_graph6
+from .graph6 import _BIT, _plane, canonical_reader, corpus_texts, first_record
+from .graph6 import graph6_bits, graph6_order, iter_graph6, split_lines, write_graph6
 from .graphs import Frozen, Graph, VertexSet, check_order, from_edges, new_graph
 from .graphs import select_bits
 
@@ -368,7 +369,7 @@ class PairMaximum:
         ]
         self.add_run(planes, (1 << len(block)) - 1, [0])
 
-    def read_order(self, record: str | bytes, strict: bool) -> None:
+    def read_order(self, record: str, strict: bool) -> None:
         """Take the stream's order from its first graph6 record, and the
         reader of canonical records of that order.  An order past the
         counting cap is refused here, after the record's own error or
@@ -380,17 +381,19 @@ class PairMaximum:
         self._read = canonical_reader(self.n)
         self._stride = len(write_graph6(new_graph(self.n))) + 1  # a canonical line
 
-    def add_lines(self, block: list[str | bytes], strict: bool) -> None:
+    def add_lines(self, block: list[str], strict: bool) -> None:
         """Take a block of graph6 corpus lines (blank lines skipped), once
         the order is set.
 
-        Canonical records of the stream's order are read by its
-        ``canonical_reader`` and go through the kernel as one block; a
-        witness among them is written from their edge planes.  Every other
-        record is parsed by ``parse_graph6`` in file order; canonical
+        The lines of a canonical line's length are joined into one text for
+        the stream's ``canonical_reader``; the canonical records among them
+        go through the kernel as one block, and a witness among them is
+        written from their edge planes.  Every other line is split at
+        ``"\\n"`` and parsed by ``parse_graph6`` in file order; canonical
         records never raise, so errors and warnings come out in file order.
         """
-        at, ok, planes = self._read(block)
+        at = [i for i, line in enumerate(block) if len(line) == self._stride]
+        ok, planes = self._read("".join([block[i] for i in at]))
         if ok != (1 << len(block)) - 1:
             canonical = set(select_bits(ok, at))
             rest = (line for i, line in enumerate(block) if i not in canonical)
@@ -398,9 +401,10 @@ class PairMaximum:
         if ok:
             self.add_run(planes, ok, [0])
 
-    def corpus_lines(self, texts: Iterable[str | bytes]) -> Iterator[str | bytes]:
-        """The lines of texts of whole corpus lines, once the order is set,
-        less the runs of canonical records that it takes as it reads them.
+    def corpus_lines(self, texts: Iterable[str]) -> Iterator[str]:
+        """The lines of texts of whole corpus lines, as ``corpus_texts``
+        gives them, once the order is set, less the runs of canonical
+        records that it takes as it reads them.
 
         A text longer than a canonical line goes through the kernel whole
         when it is a run of canonical records of the stream's order, read by
@@ -416,8 +420,8 @@ class PairMaximum:
                 if text:
                     yield text
                 continue
-            at, ok, planes = self._read(text)
-            if at and ok == (1 << len(at)) - 1:
+            ok, planes = self._read(text)
+            if ok == (1 << len(text) // self._stride) - 1:
                 self.add_run(planes, ok, [0])
             else:
                 yield from split_lines([text])
@@ -491,6 +495,12 @@ def scan_corpus(
     its warnings up to the first refused record (that scan reads the rest
     of the record's block first, and may warn about it).
 
+    Texts may be ``str``, ``bytes`` or ``bytearray``, each with ``"\\n"``
+    or ``"\\r\\n"`` line ends and with or without a final one; each is
+    made a ``str`` with ``"\\n"`` line ends once, as it is read
+    (``graph6.corpus_texts``), so every form takes the same path.  One
+    text on its own, not in a list, is refused with :class:`TypeError`.
+
     The texts are read up to the first record, whose size field sets the
     order: :class:`SizeLimitError` past the counting cap, after that
     record's own error or warning and before anything after it is read.
@@ -502,7 +512,7 @@ def scan_corpus(
     when the corpus holds no record.
     """
     best = PairMaximum(mode)
-    texts = iter(texts)
+    texts = corpus_texts(texts)
     head = first_record(texts)
     if not head:
         raise GraphParseError("no graph6 record found in corpus")

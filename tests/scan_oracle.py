@@ -1,13 +1,13 @@
-"""Test oracle: the per-graph extremal reduction that ``extremal_scan`` ran
-for every target before the γ=2 scans moved to one block kernel.
+"""Test oracle: the per-graph γ=2 extremal reduction.
 
-Each graph goes through ``count_sets`` on its own, so this is independent
-of the kernel's pair counting, its bit slicing and its block boundaries.
+Each graph is taken on its own, and each of its vertex pairs is tested
+directly on the graph's rows, so this is independent of the kernel's
+pair counting, its bit slicing and its block boundaries.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from domcount import (
@@ -15,19 +15,16 @@ from domcount import (
     Graph,
     GraphParseError,
     MixedOrderError,
-    count_sets,
-    domination_number,
     iter_graph6,
     write_graph6,
 )
 from domcount.domination import check_countable
 
 
-def oracle_extremal_scan(
-    graphs: Iterable[Graph], mode: str, target_gamma: int = 2
-) -> ExtremalRecord:
-    """Maximum (total) dominating ``target_gamma``-set count over graphs
-    with domination number exactly ``target_gamma``, one graph at a time."""
+def oracle_extremal_scan(graphs: Iterable[Graph], mode: str) -> ExtremalRecord:
+    """Maximum (total) dominating pair count over graphs with domination
+    number exactly 2, one graph at a time: a pair {a, b} counts when the
+    closed rows of a and b (open rows in total mode) cover every vertex."""
     n: int | None = None
     scanned = 0
     best_count = 0
@@ -41,17 +38,14 @@ def oracle_extremal_scan(
                 f"graph stream mixes orders {n} and {g.n}"
             )
         scanned += 1
-        if mode == "total" and g.has_isolated_vertex():
-            continue
-        if target_gamma == 2:
-            full = (1 << g.n) - 1
-            if any(row | 1 << v == full for v, row in enumerate(g.rows)):
-                continue  # a dominating vertex: domination number 1
-        count = count_sets(g, target_gamma, mode)
+        full = (1 << g.n) - 1
+        closed = [row | 1 << v for v, row in enumerate(g.rows)]
+        if full in closed:
+            continue  # a dominating vertex: domination number 1
+        rows = g.rows if mode == "total" else closed
+        count = sum(rows[a] | rows[b] == full for a, b in combinations(range(g.n), 2))
         if count == 0:
-            continue  # domination number above target, or no total set
-        if target_gamma != 2 and domination_number(g) < target_gamma:
-            continue  # domination number below target
+            continue  # domination number above 2, or no total dominating pair
         if count > best_count:
             best_count = count
             best_witness = write_graph6(g)
@@ -64,7 +58,7 @@ def oracle_extremal_scan(
     return ExtremalRecord(
         n=n,
         mode=mode,
-        target_gamma=target_gamma,
+        target_gamma=2,
         max_count=best_count,
         witness=best_witness,
         graphs_scanned=scanned,

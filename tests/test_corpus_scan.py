@@ -23,12 +23,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import tied_stream
 from domcount import (
+    GraphParseError,
     complete_graph,
     count_sets,
     extremal_scan,
     from_edges,
     iter_graph6,
     new_graph,
+    parse_graph6,
     write_graph6,
 )
 from domcount.cli import _decoded, run_cli
@@ -79,6 +81,20 @@ def cli_text_blocks(data):
     """The text blocks the CLI hands the scan for a corpus file's bytes
     (its first record's line aside)."""
     return list(text_blocks(_decoded(io.BytesIO(data))))
+
+
+def parsed_blocks(monkeypatch):
+    """The list to which every block of graphs ``PairMaximum.add_graphs``
+    takes is appended from now on: the graphs a corpus scan parsed."""
+    parsed = []
+    add_graphs = PairMaximum.add_graphs
+
+    def spy(self, graphs):
+        parsed.append(list(graphs))
+        add_graphs(self, parsed[-1])
+
+    monkeypatch.setattr(PairMaximum, "add_graphs", spy)
+    return parsed
 
 
 def random_record(rng, n, density=None):
@@ -234,14 +250,7 @@ class TestAgainstOracle:
         path = tmp_path / "corpus.g6"
         path.write_bytes(head + b"\n".join(lines) + b"\n")
         assert len(cli_text_blocks(path.read_bytes())) >= 3
-        parsed = []
-        add_graphs = PairMaximum.add_graphs
-
-        def spy(self, graphs):
-            parsed.append(list(graphs))
-            add_graphs(self, parsed[-1])
-
-        monkeypatch.setattr(PairMaximum, "add_graphs", spy)
+        parsed = parsed_blocks(monkeypatch)
         for n in ([], ["--n", "8"]):
             code, report, _ = cli_outcome(["scan", "--corpus", str(path), *n])
             assert code == 0 and report["graphs_scanned"] == len(lines)
@@ -462,6 +471,58 @@ class TestLineTypes:
         want = lines_outcome(scan_graph6, [*lines[:5], b"\n", b"\n", b"??\n"], mode, strict)
         assert lines_outcome(scan_corpus, texts, mode, strict) == want
         assert want[0][1].startswith("trailing bytes")
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_every_form_takes_the_canonical_path(self, monkeypatch, mode):
+        """A canonical corpus is read by the canonical reader in every form
+        the API takes, LF or CRLF, with or without a final newline: no
+        record is parsed, and the record is the oracle's."""
+        rng = random.Random(19)
+        records = [random_record(rng, 8, 5 / 8) for _ in range(3000)]
+        crlf = b"".join(record + b"\r\n" for record in records)
+        forms = {
+            "str lines": [record.decode("ascii") + "\n" for record in records],
+            "bytes lines": [record + b"\n" for record in records],
+            "CRLF str text": [crlf.decode("ascii")],
+            "CRLF bytes text": [crlf],
+            "CRLF bytearray text": [bytearray(crlf)],
+            "CRLF str lines": [record.decode("ascii") + "\r\n" for record in records],
+            "CRLF bytes lines": [record + b"\r\n" for record in records],
+            "unended str lines": [record.decode("ascii") for record in records],
+            "unended bytes lines": records,
+        }
+        want = oracle_scan_corpus(forms["bytes lines"], mode)
+        parsed = parsed_blocks(monkeypatch)
+        for name, texts in forms.items():
+            assert scan_corpus(texts, mode) == want, name
+        assert parsed == []
+
+    @pytest.mark.parametrize(
+        "text", ["G~~~~{\n", b"G~~~~{\n", bytearray(b"G~~~~{\n")],
+        ids=["str", "bytes", "bytearray"],
+    )
+    def test_one_text_alone_is_refused(self, text):
+        """One text where lines or a list of texts go: iterating over it
+        would read its characters or bytes as lines."""
+        with pytest.raises(TypeError, match="lines or a list of texts"):
+            scan_corpus(text, "dominating")
+        with pytest.raises(TypeError, match="lines or a list of texts"):
+            iter_graph6(text)
+
+    def test_lone_surrogate_reads_as_its_byte(self):
+        """A str record with a lone surrogate, as decoding bytes with
+        "surrogateescape" gives it, is refused as the byte it stands for,
+        as the bytes record is.  The CLI's strict ASCII decoder never gives
+        one."""
+        for record in ("C\udcc3", b"C\xc3"):
+            with pytest.raises(GraphParseError, match="byte 195 out of graph6 range"):
+                parse_graph6(record)
+        outcome = lines_outcome(scan_corpus, ["C~\n", "C\udcc3\n"], "dominating", True)
+        assert outcome == lines_outcome(
+            scan_corpus, [b"C~\n", b"C\xc3\n"], "dominating", True
+        )
+        message = "byte 195 out of graph6 range [63, 126] at offset 1"
+        assert outcome == (("GraphParseError", message), [])
 
     @pytest.mark.parametrize("mode", ["dominating", "total"])
     def test_non_ascii_line_of_canonical_length(self, mode):

@@ -22,8 +22,8 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import canonical_reader, edge_list_order, graph6_order
-from domcount.graph6 import first_record, graph6_records, text_lines
+from domcount.graph6 import canonical_reader, corpus_texts, edge_list_order
+from domcount.graph6 import first_record, graph6_order, graph6_records, text_lines
 from domcount.scanning import graph_from_edge_mask, pair_order
 
 
@@ -335,20 +335,16 @@ class TestIterGraph6:
         with pytest.raises(GraphParseError, match="non-ASCII|out of graph6 range"):
             list(iter_graph6([line("C~\xa0")]))
 
-    @pytest.mark.parametrize("kind", [str, bytes])
-    def test_first_record_of_texts(self, kind):
+    def test_first_record_of_texts(self):
         """The first record of texts of whole lines, stripped as
         graph6_records strips it, with a "\\n", and the text after its
         line; the texts after the one that holds it are left unread."""
-        def text(value):
-            return value if kind is str else value.encode("ascii")
-
         blank = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
-        texts = iter(map(text, ["", "\n \n", blank + "C~\x1c \r\nC]\n\n", "C?\n"]))
-        assert first_record(texts) == (text("C~\n"), text("C]\n\n"))
-        assert list(texts) == [text("C?\n")]
-        assert first_record(map(text, ["\n", " C~"])) == (text("C~\n"), text(""))
-        assert first_record(map(text, ["\n", blank])) == ()
+        texts = iter(["", "\n \n", blank + "C~\x1c \r\nC]\n\n", "C?\n"])
+        assert first_record(texts) == ("C~\n", "C]\n\n")
+        assert list(texts) == ["C?\n"]
+        assert first_record(["\n", " C~"]) == ("C~\n", "")
+        assert first_record(["\n", blank]) == ()
 
 
 def reader_variants(n: int, rng: random.Random) -> dict[str, bytes]:
@@ -386,30 +382,42 @@ def reader_variants(n: int, rng: random.Random) -> dict[str, bytes]:
     return lines
 
 
-def canonical_graph(line: str | bytes, n: int):
+def canonical_graph(line: str, n: int):
     """The graph ``parse_graph6`` reads from ``line`` when the line is that
     graph's canonical order-n record plus a newline, else None."""
     try:
         g = parse_graph6(line)
     except (GraphParseError, SizeLimitError):
         return None
-    text = line if isinstance(line, str) else line.decode("ascii")
-    return g if g.n == n and text == write_graph6(g) + "\n" else None
+    return g if g.n == n and line == write_graph6(g) + "\n" else None
+
+
+def reader_lines(lines, kind):
+    """bytes lines as ``str`` lines: decoded, for ``str``, or as the scan
+    reads them, through ``corpus_texts``, for ``bytes``, which ends the
+    CRLF and unended lines with ``"\\n"``."""
+    if kind is str:
+        return [line.decode("ascii") for line in lines]
+    return list(corpus_texts(lines))
 
 
 class TestCanonicalReader:
-    """``canonical_reader`` line by line against ``parse_graph6``: a line is
-    accepted exactly when it is ``write_graph6`` of the graph parsed from
-    it, plus a newline, and its lane of the planes holds that graph's
+    """``canonical_reader`` line by line against ``parse_graph6``: the lines
+    of a block of a canonical line's length are joined into one text, and a
+    line is accepted exactly when it is ``write_graph6`` of the graph parsed
+    from it, plus a newline, and its lane of the planes holds that graph's
     edges in ``pair_order``."""
 
     ORDERS = [0, 1, 2, 3, 4, 5, 8, 12, 13, 62, 63, 64]
+    # reader_variants that corpus_texts makes canonical
+    ENDED = ("canonical", "crlf", "no_line_end")
 
     @staticmethod
     def check(n, block):
         stride = len(write_graph6(new_graph(n))) + 1
-        at, ok, planes = canonical_reader(n)(block)
-        assert list(at) == [i for i, line in enumerate(block) if len(line) == stride]
+        at = [i for i, line in enumerate(block) if len(line) == stride]
+        ok, planes = canonical_reader(n)("".join([block[i] for i in at]))
+        assert ok >> len(at) == 0
         assert len(planes) == (comb(n, 2) if at else 0)
         for lane, i in enumerate(at):
             g = canonical_graph(block[i], n)
@@ -424,56 +432,51 @@ class TestCanonicalReader:
     @pytest.mark.parametrize("n", ORDERS[:-3])  # test_one_block takes the wide ones
     def test_each_line_alone(self, n, kind):
         for name, line in reader_variants(n, random.Random(n)).items():
-            line = line.decode("ascii") if kind is str else line
+            (line,) = reader_lines([line], kind)
             ok = self.check(n, [line])
-            assert ok == name.startswith("canonical"), name
+            canonical = name.startswith(self.ENDED if kind is bytes else "canonical")
+            assert ok == canonical, name
 
     @pytest.mark.parametrize("kind", [str, bytes])
     @pytest.mark.parametrize("n", ORDERS)
     def test_one_block(self, n, kind):
         lines = list(reader_variants(n, random.Random(n)).values())
         random.Random(-n).shuffle(lines)
-        block = [line.decode("ascii") if kind is str else line for line in lines]
-        assert self.check(n, block).bit_count() == 3
+        block = reader_lines(lines, kind)
+        assert self.check(n, block).bit_count() == (3 if kind is str else 9)
 
     @pytest.mark.parametrize("kind", [str, bytes])
     @pytest.mark.parametrize("n", ORDERS)
     def test_a_text_reads_as_its_lines(self, n, kind):
         """A text of lines of the record's length, back to back, reads as
-        the block of those lines; a text of another length reads as none."""
+        those lines, each read alone; a text of another length reads as
+        none."""
         stride = len(write_graph6(new_graph(n))) + 1
-        lines = [
-            line if kind is bytes else line.decode("ascii")
-            for line in reader_variants(n, random.Random(n)).values()
-            if len(line) == stride
-        ]
+        variants = reader_variants(n, random.Random(n)).values()
+        lines = [line for line in reader_lines(variants, kind) if len(line) == stride]
         random.Random(-n).shuffle(lines)
-        text = lines[0][:0].join(lines)
-        at, ok, planes = canonical_reader(n)(text)
-        want_at, want_ok, want_planes = canonical_reader(n)(lines)
-        assert (list(at), ok, planes) == (list(want_at), want_ok, want_planes)
-        assert ok.bit_count() == 3
+        read = canonical_reader(n)
+        text = "".join(lines)
+        ok, planes = read(text)
+        for lane, line in enumerate(lines):
+            alone, alone_planes = read(line)
+            assert ok >> lane & 1 == alone, line
+            assert [plane >> lane & 1 for plane in planes] == alone_planes, line
+        assert ok.bit_count() == (3 if kind is str else 9)
         for other in (text[:-1], text + text[:1], text[:0]):
-            assert canonical_reader(n)(other) == ([], 0, [])
-
-    @pytest.mark.parametrize("n", [2, 8, 64])
-    def test_a_block_with_str_and_bytes_has_none(self, n):
-        record = write_graph6(complete_graph(n)) + "\n"
-        assert canonical_reader(n)([record, record.encode()])[1] == 0
-        assert canonical_reader(n)([record, record])[1] == 0b11
+            assert read(other) == (0, [])
 
     @pytest.mark.parametrize("kind", [str, bytes])
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_non_ascii_text_has_none(self, n, kind):
         record = write_graph6(complete_graph(n)) + "\n"
-        if kind is bytes:
-            record = record.encode()
         # the canonical length, with an e-acute (one character or byte)
-        other = record[:1] + ("\u00e9" if kind is str else b"\xe9") + record[2:]
+        other = record[:1] + "\u00e9" + record[2:]
+        if kind is bytes:
+            (other,) = corpus_texts([other.encode("latin-1")])
         assert canonical_graph(other, n) is None
-        assert canonical_reader(n)([other])[1] == 0
-        assert canonical_reader(n)([record, other])[1] == 0
-        assert canonical_reader(n)(record + other)[1] == 0
+        assert canonical_reader(n)(other)[0] == 0
+        assert canonical_reader(n)(record + other)[0] == 0
 
 
 class TestEdgeList:
