@@ -19,7 +19,6 @@ union dominate it: the exact fraction, and its limit as n grows.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Sequence
 
@@ -227,6 +226,8 @@ class EfficiencyReport(Frozen):
 
 def efficiency_ratio(n: int, x: int) -> EfficiencyReport:
     """Exact fraction of x-subsets that dominate the (n, x) construction."""
+    from fractions import Fraction  # here, not at import: only this needs it
+
     plan = component_plan(n, x)
     ratio = Fraction(plan.total_count, comb(n, x))
     coefficient = Fraction(2 ** (x // 2), x**x)

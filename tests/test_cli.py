@@ -631,15 +631,18 @@ def run_script(script, tmp_path):
 
 
 def test_no_subcommand_loads_numpy(tmp_path):
-    """No subcommand imports numpy, the γ=2 scans included."""
+    """No subcommand imports numpy, the γ=2 scans included; only
+    ``efficiency``, run last, imports ``fractions`` and ``decimal``."""
     script = """
+EXACT = {"fractions", "decimal"}
 from domcount.cli import run_cli
 assert "numpy" not in sys.modules
 for argv in (
     ["formula", "--n", "9", "--gamma", "3"],
+    ["formula", "--n", "9", "--gamma", "2", "--total"],
     ["optimize", "--n", "12", "--gamma", "4"],
-    ["efficiency", "--n", "12", "--gamma", "3"],
     ["construct", "--n", "9", "--gamma", "3"],
+    ["construct", "--n", "400", "--gamma", "120"],
     ["gamma", "--in", "-"],
     ["count", "--in", "-"],
     ["scan", "--n", "7"],
@@ -649,6 +652,9 @@ for argv in (
 ):
     sys.stdin = io.TextIOWrapper(io.BytesIO(b"C~\\n"))
     assert run_cli(argv) == 0, argv
+    assert not EXACT & set(sys.modules), (argv, sorted(EXACT & set(sys.modules)))
+assert run_cli(["efficiency", "--n", "12", "--gamma", "3"]) == 0
+assert EXACT <= set(sys.modules)
 assert "numpy" not in sys.modules
 """
     proc = run_script(script, tmp_path)
@@ -751,6 +757,38 @@ def test_closed_standard_stream_exits_1_with_one_line(tmp_path, fd, argv, messag
         env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
+
+
+EXIT_PATHS = {
+    "help": (0, ["--help"]),
+    "count-help": (0, ["count", "--help"]),
+    "usage": (1, ["count", "--in", "input.g6", "--bogus"]),
+    "parse": (2, ["count", "--in", "non-ascii.g6"]),
+    "infeasible": (3, ["construct", "--n", "3", "--gamma", "5"]),
+    "size-limit": (4, ["scan", "--n", "9"]),
+    "report": (0, ["count", "--in", "input.g6", "--witness-cap", "3"]),
+    "warning": (0, ["count", "--in", "padded.g6", "--lenient"]),
+}
+
+
+@pytest.mark.parametrize("code, argv", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_a_process_prints_what_run_cli_prints(tmp_path, monkeypatch, capsys, code, argv):
+    """``main`` ends the process with ``os._exit``, which flushes nothing, so
+    only a real process shows an output it failed to flush first: help text
+    and reports go to a block-buffered pipe.  Its stdout (``elapsed_ms``
+    aside), stderr and exit code are those of ``run_cli`` in-process."""
+    (tmp_path / "input.g6").write_bytes(b"DNw\n")
+    (tmp_path / "padded.g6").write_bytes(b"DNx\n")
+    (tmp_path / "non-ascii.g6").write_bytes(b"caf\xc3\xa9\n")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, in both
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # buffered, as by default
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code
+    out, err = capsys.readouterr()
+    assert out or err
+    proc = run_process(tmp_path, argv, b"")
+    assert (proc.returncode, ELAPSED.sub(b"", proc.stdout), proc.stderr) == (
+        code, ELAPSED.sub(b"", out.encode("ascii")), err.encode("ascii"))
 
 
 @pytest.mark.parametrize(
