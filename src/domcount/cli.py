@@ -31,6 +31,7 @@ from typing import Any, Iterator
 from .constructions import PartitionPlan, build_component_graph, component_plan
 from .constructions import efficiency_ratio, max_total_dominating_pairs
 from .domination import (
+    COUNT_VERTEX_CAP,
     check_countable,
     count_minimum,
     count_sets_with_witnesses,
@@ -44,8 +45,8 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graph6 import edge_list_order, first_record, graph6_order, parse_edge_list
-from .graph6 import parse_graph6, write_edge_list, write_graph6
+from .graph6 import edge_list_head, edge_list_order, edge_list_rows, first_record
+from .graph6 import graph6_order, parse_edge_list, parse_graph6, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import scan_corpus, scan_labeled, text_blocks
@@ -113,23 +114,29 @@ def _open_text(path: str) -> Iterator[Iterator[str]]:
 
 def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
     """The --in graph.  With ``counting``, an order past the counting cap is
-    refused from the count line or size field, before the body is parsed."""
+    refused from the count line or size field, before the body is parsed
+    or kept."""
     edges = args.format == "edges"
     with _open_text(args.infile) as pieces:
+        # read in blocks of whole lines up to the head: an edge list's text
+        # up to its count line, or a graph6 input's first record
+        blocks = text_blocks(pieces)
         if edges:
-            text = "".join(pieces)
+            head = edge_list_head(blocks)
+            order = edge_list_order(head[-1]) if head else None
+            refused = counting and order is not None and order > COUNT_VERTEX_CAP
+            text = "" if refused else "".join(chain(head, blocks))
         else:
-            # a graph6 input is its first record; the rest is decoded, not
-            # kept, piece by piece rather than in lines, which can be long,
-            # and then the blocks raise a failed read they held back
-            blocks = text_blocks(pieces)
             head = first_record(blocks)
+            order = graph6_order(head[0]) if head else None
             text = head[0] if head else ""
-            for _ in chain(pieces, blocks):
-                pass
+        # the rest, if any, is decoded, not kept, piece by piece rather than
+        # in lines, which can be long, and then the blocks raise a failed
+        # read they held back
+        for _ in chain(pieces, blocks):
+            pass
     if not (edges or text):
         raise GraphParseError("no graph6 record found in input")
-    order = edge_list_order(text) if edges else graph6_order(text)
     if counting and order is not None:
         check_countable(order)
     if edges:
@@ -171,13 +178,12 @@ def _cmd_construct(args: argparse.Namespace) -> dict[str, Any]:
         "predicted": _num(plan.total_count),
     }
     if args.out:
-        payload = (
-            write_graph6(graph) + "\n"
-            if args.format == "g6"
-            else write_edge_list(graph)
-        )
         with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(payload)
+            if args.format == "g6":
+                handle.write(write_graph6(graph))
+                handle.write("\n")
+            else:
+                handle.writelines(edge_list_rows(graph))
     else:
         report["graph6"] = write_graph6(graph)
     return report

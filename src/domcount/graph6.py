@@ -11,11 +11,13 @@ a warning.
 The codec works on whole words, not single bits.  A data byte is 63 plus a
 6-bit value, and base64 spells the same 6-bit values with its own 64-letter
 alphabet, so one ``bytes.translate`` maps between the two and ``binascii``
-converts the body to and from one big integer, the bit stream.  The writer
-formats column j of that stream as the low j bits of ``rows[j]``, reversed,
-and joins the columns.  The parser lays the columns out as the lower
-triangle of a row-major n x n character matrix; row v is then its own slice
-of row v plus the strided slice down column v, so C does the transpose.
+converts the body to and from big integers.  The writer formats column j
+of the bit stream as the low j bits of ``rows[j]``, reversed, and converts
+the joined columns every 64 Ki bits or so, in cuts of whole base64 quads
+(24 bits), so the C(n, 2)-bit stream is never one string.  The parser reads
+the body as one integer and lays its columns out as the lower triangle of
+a row-major n x n character matrix; row v is then its own slice of row v
+plus the strided slice down column v, so C does the transpose.
 
 A scan reads canonical records many at once (:func:`canonical_reader`),
 from one text of records back to back, in the one form
@@ -27,7 +29,8 @@ edge.
 The edge-list writer works on whole rows the same way.  Row u's neighbours
 above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
 digits select from a table of vertex labels, and one join writes the row's
-lines.
+lines.  :func:`edge_list_rows` yields each row's text as it is made, so a
+file can be written a row at a time; :func:`write_edge_list` joins them.
 """
 
 from __future__ import annotations
@@ -169,18 +172,36 @@ def _size_field(n: int) -> bytes:
     return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
 
 
+# write_graph6 converts the formatted columns to data bytes once they hold
+# this many bits, up to the last whole base64 quad; a record of fewer bits
+# is converted once, at the end.
+_CUT_BITS = 1 << 16
+
+
+def _data_bytes(bits: str) -> bytes:
+    """graph6 data bytes of binary digits, a multiple of 24 long."""
+    words = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(words, newline=False).translate(_TO_GRAPH6)
+
+
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 record (no header, no newline) for ``g``."""
     n = g.n
-    # Column j is the low j bits of rows[j], vertex 0 first.
-    bits = "".join(
-        format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
-    )
-    nbytes = (len(bits) + 5) // 6
-    bits += "0" * (-len(bits) % 24)  # whole base64 quads: no "=" padding
-    words = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
-    body = binascii.b2a_base64(words, newline=False)[:nbytes]
-    return (_size_field(n) + body.translate(_TO_GRAPH6)).decode("ascii")
+    record = [_size_field(n)]
+    columns, size = [], 0  # the stream's binary digits since the last cut
+    for j in range(1, n):
+        # Column j is the low j bits of rows[j], vertex 0 first.
+        columns.append(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1])
+        size += j
+        if size >= _CUT_BITS:
+            bits = "".join(columns)
+            size %= 24
+            columns = [bits[len(bits) - size :]]
+            record.append(_data_bytes(bits[: len(bits) - size]))
+    bits = "".join(columns)
+    # padded to whole quads, so no "=", then cut to the bytes that hold bits
+    record.append(_data_bytes(bits + "0" * (-len(bits) % 24))[: (len(bits) + 5) // 6])
+    return b"".join(record).decode("ascii")
 
 
 # Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs
@@ -359,16 +380,34 @@ def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
     return n
 
 
+def _head_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """:func:`_token_lines` of ``text``, its lines taken one at a time, with
+    the line ends of :func:`text_lines`; empty lines, which it keeps, hold
+    no tokens."""
+    return _token_lines(line.group() for line in re.finditer(r"[^\r\n]+", text))
+
+
 def edge_list_order(text: str) -> int | None:
     """The vertex count an edge list declares, read without its edge lines;
-    None when :func:`parse_edge_list` would reject the count line.  Lines
-    are taken one at a time up to the count line, with the line ends of
-    :func:`text_lines`; empty lines, which it keeps, hold no tokens."""
-    lines = (line.group() for line in re.finditer(r"[^\r\n]+", text))
+    None when :func:`parse_edge_list` would reject the count line."""
     try:
-        return _vertex_count(_token_lines(lines))
+        return _vertex_count(_head_lines(text))
     except (GraphParseError, SizeLimitError):
         return None
+
+
+def edge_list_head(texts: Iterable[str]) -> list[str]:
+    """Texts of whole lines of an edge list, read up to the one that holds
+    its count line (its first line that is not blank or a comment), or all
+    of them when none does; the texts after it are left unread.  The count
+    line is the last text's first: :func:`edge_list_order` of that text
+    reads it."""
+    head = []
+    for text in texts:
+        head.append(text)
+        if next(_head_lines(text), None):
+            break
+    return head
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -399,11 +438,18 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def write_edge_list(g: Graph) -> str:
-    """Edge-list text for ``g``: vertex count, then one ``u v`` line per edge."""
+def edge_list_rows(g: Graph) -> Iterator[str]:
+    """The text of :func:`write_edge_list` one row at a time: the vertex
+    count line, then each vertex u's ``u v`` lines for its neighbours
+    v > u, each text made as it is read."""
     labels = [str(v) for v in range(g.n)]
-    lines = [str(g.n)]
+    yield f"{g.n}\n"
     for u, row in enumerate(g.rows):
         if above := row >> (u + 1):
-            lines.append(f"{u} " + f"\n{u} ".join(select_bits(above, labels[u + 1 :])))
-    return "\n".join(lines) + "\n"
+            between = f"\n{u} "
+            yield f"{u} {between.join(select_bits(above, labels[u + 1 :]))}\n"
+
+
+def write_edge_list(g: Graph) -> str:
+    """Edge-list text for ``g``: vertex count, then one ``u v`` line per edge."""
+    return "".join(edge_list_rows(g))

@@ -23,6 +23,9 @@ The invocations:
   gamma = -1..12;
 * ``construct --n 4096 --gamma 2048``, and ``--n 100000000000 --gamma
   1000000`` past the vertex cap;
+* ``construct --out`` in both formats at n = 364, one order past the graph6
+  writer's first cut, and at n = 4096, each followed by ``count --size 2
+  --in`` of the written file;
 * ``--help`` of the tool and of every subcommand;
 * ``scan --corpus`` over small malformed or non-canonical corpora, in both
   modes, with and without ``--lenient``, and without ``--n``, with the
@@ -135,6 +138,15 @@ def invocations(work: Path, seed: int) -> list[tuple]:
             ]
     runs.append((own, ["construct", "--n", "4096", "--gamma", "2048"]))
     runs.append((own, ["construct", "--n", "100000000000", "--gamma", "1000000"]))
+    # C(363, 2) is the first count of graph6 body bits to reach 2**16, a cut
+    for n, x in ((364, 5), (4096, 7)):
+        for fmt in ("g6", "edges"):
+            path = f"big{n}.{fmt}"
+            runs += [
+                (own, ["construct", "--n", str(n), "--gamma", str(x), "--format", fmt,
+                       "--out", path]),
+                (own, ["count", "--size", "2", "--in", path, "--format", fmt]),
+            ]
     runs.append((own, ["--help"]))
     runs += [(own, [command, "--help"]) for command in SUBCOMMANDS]
     fed = []  # (path, format) of every file also read from standard input

@@ -329,6 +329,142 @@ class TestStreamedInput:
         }
 
 
+def traced_peak(argv):
+    """The exit code of ``run_cli(argv)`` and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeGraphFiles:
+    """``construct --out`` writes an n ~ 2000 construction, and ``count
+    --in`` refuses one, without holding the file's text."""
+
+    @pytest.mark.parametrize(
+        "gamma, flags",
+        [(7, ["--format", "edges"]), (6, [])],
+        ids=["edges", "g6"],
+    )
+    def test_construct_out_traced_peak(self, capsys, tmp_path, gamma, flags):
+        """The 4.7 MB edge list was held as a list of rows, their join and
+        a copy with the last newline (a traced peak of about 14 MB), and
+        the graph6 record as a C(n, 2)-character bit string (about 4.4 MB)."""
+        path = tmp_path / "big.out"
+        code, peak = traced_peak(["construct", "--n", "1997", "--gamma", str(gamma),
+                                  *flags, "--out", str(path)])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 2 * 2**20
+        graph, _ = build_component_graph(1997, gamma)
+        if flags:
+            assert path.read_text() == edge_list_oracle.write_edge_list(graph)
+        else:
+            assert path.read_text() == write_graph6(graph) + "\n"
+
+    @pytest.mark.parametrize("head", [b"", b"# c\n" * 20_000], ids=["first", "late"])
+    def test_edge_list_past_the_counting_cap_is_not_kept(
+        self, capsys, tmp_path, head
+    ):
+        """The whole text was joined before its count line was read: a
+        traced peak of about 9 MB on this 4.7 MB file, whether the count
+        line is in the first 64 KiB block or after it."""
+        path = tmp_path / "big.edges"
+        assert run_cli(["construct", "--n", "1997", "--gamma", "7",
+                        "--format", "edges", "--out", str(path)]) == 0
+        capsys.readouterr()
+        path.write_bytes(head + path.read_bytes())
+        assert path.stat().st_size > 4 * 10**6
+        code, peak = traced_peak(
+            ["count", "--size", "2", "--in", str(path), "--format", "edges"]
+        )
+        err = "domcount: size limit: counting supports n <= 64, got n=1997\n"
+        assert (code, capsys.readouterr().err) == (4, err)
+        assert peak < 2 * 2**20
+
+
+class TestEdgeListCountLine:
+    """``count --in`` reads an edge list up to its count line and refuses
+    an order past the counting cap from there; every outcome is the one of
+    reading the whole text first."""
+
+    def outcome(self, capsys, tmp_path, data):
+        path = tmp_path / "input.edges"
+        path.write_bytes(data)
+        return run(
+            capsys, "count", "--size", "2", "--in", str(path), "--format", "edges"
+        )
+
+    def test_a_later_non_ascii_byte_comes_first(self, capsys, tmp_path):
+        """A byte the decoder rejects, megabytes after an over-cap count
+        line, is still the error."""
+        data = b"100\n" + b"0 1\n" * 500_000 + b"caf\xc3\xa9\n"
+        assert self.outcome(capsys, tmp_path, data) == (
+            2, None, "domcount: parse error: 'ascii' codec can't decode byte 0xc3\n"
+        )
+
+    @pytest.mark.parametrize("head", [b"# c\n" * 20_000, b"#" * 70_000 + b"\n\n \n"],
+                             ids=["many-lines", "one-long-line"])
+    def test_count_line_after_the_first_block(self, capsys, tmp_path, head):
+        assert len(head) > 1 << 16
+        data = head + b"  300 # n\n" + b"0 1\n" * 1000
+        assert self.outcome(capsys, tmp_path, data) == (
+            4, None, "domcount: size limit: counting supports n <= 64, got n=300\n"
+        )
+
+    @pytest.mark.parametrize("end", [8192, 1 << 16], ids=["read", "block"])
+    @pytest.mark.parametrize("offset", [-2, -1, 1])
+    def test_count_line_across_a_read_is_read_whole(
+        self, capsys, tmp_path, end, offset
+    ):
+        """The count line "1000" starts ``offset`` characters from the end
+        of the decoder's 8 KiB read or of the first 64 KiB block."""
+        head = b"#" * (end + offset - 1) + b"\n"
+        data = head + b"1000\n0 1\n"
+        assert self.outcome(capsys, tmp_path, data) == (
+            4, None, "domcount: size limit: counting supports n <= 64, got n=1000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"# c\n\nx y\n100\n", "expected a single vertex count on line 3"),
+            (b"#" * 70_000 + b"\n-5\n100\n", "negative vertex count on line 2"),
+            (b"\n" * 70_000 + b"1e3\n" + b"#" * 70_000 + b"\n100\n",
+             "invalid vertex count '1e3' on line 70001"),
+            (b"# only a comment\n" * 5000, "missing vertex count line"),
+        ],
+        ids=["two-tokens", "negative", "not-an-integer", "missing"],
+    )
+    def test_invalid_count_line_keeps_its_message(
+        self, capsys, tmp_path, data, message
+    ):
+        """A valid over-cap count on a later line, in the same or a later
+        block, is not taken for the count line."""
+        assert self.outcome(capsys, tmp_path, data) == (
+            2, None, f"domcount: parse error: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "head", [b"", b"#" * 70_000 + b"\n"], ids=["first", "late"]
+    )
+    def test_past_the_vertex_cap_keeps_its_message(self, capsys, tmp_path, head):
+        data = head + b"5000\n0 1\n"
+        assert self.outcome(capsys, tmp_path, data) == (
+            4, None, "domcount: size limit: edge list has n=5000, cap is 4096\n"
+        )
+
+    def test_under_the_cap_is_parsed_whole(self, capsys, tmp_path):
+        """A count line after the first block, and edges in later blocks,
+        are parsed as one text."""
+        edges = b"\n".join([b"0 1", b"1 2", b"2 3"] * 30_000)
+        data = b"# c\n" * 20_000 + b"4\n" + edges
+        code, report, err = self.outcome(capsys, tmp_path, data)
+        assert (code, err) == (0, "")
+        assert (report["n"], report["m"], report["count"]) == (4, 3, 4)
+
+
 class TestConstruct:
     def test_inline_graph6(self, capsys):
         code, report, _ = run(capsys, "construct", "--n", "9", "--gamma", "3")
@@ -598,15 +734,26 @@ NUMPY_FREE_REPORTS = {
 }
 
 
+def process_env(extra=()):
+    """The environment of a Python process a test starts: this one plus
+    ``extra``, with the package's source directory as ``PYTHONPATH`` and
+    without ``PYTHONUNBUFFERED``, so that a pipe to its stdout is
+    block-buffered, as by default, and no test passes because stdout
+    happened to be unbuffered."""
+    import domcount
+
+    env = {**os.environ, **dict(extra),
+           "PYTHONPATH": str(Path(domcount.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run_process(cwd, argv, stdin):
     """``python -m domcount ARGV`` in a process of its own, with ``stdin``
     (bytes) as its standard input."""
-    import domcount
-
     return subprocess.run(
         [sys.executable, "-m", "domcount", *argv],
-        input=stdin, capture_output=True, cwd=cwd, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        input=stdin, capture_output=True, cwd=cwd, timeout=60, env=process_env(),
     )
 
 
@@ -626,7 +773,7 @@ def run_script(script, tmp_path):
     )
     return subprocess.run(
         [sys.executable, "-c", header + script],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=process_env(),
     )
 
 
@@ -694,16 +841,13 @@ for argv, expected in REPORTS.items():
 def test_gamma_of_a_long_path_or_cycle(tmp_path, edges, flags, gamma):
     """65 vertices, past the counting cap: without the packing bound the
     walk spent minutes on the sizes below gamma."""
-    import domcount
-
     path = tmp_path / "graph.edges"
     path.write_text("65\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    src = str(Path(domcount.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "domcount", "gamma", "--in", str(path),
          "--format", "edges", *flags],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env=process_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["gamma"] == gamma
@@ -714,8 +858,6 @@ def test_unwritable_report_exits_1_without_a_traceback(tmp_path, target):
     """The report was once printed outside the error mapping: a closed pipe
     or a full device ended in a traceback, and the flush at exit failed
     again."""
-    import domcount
-
     if target == "/dev/full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
@@ -729,7 +871,7 @@ def test_unwritable_report_exits_1_without_a_traceback(tmp_path, target):
         proc = subprocess.run(
             [sys.executable, "-m", "domcount", "scan", "--n", "4"],
             stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+            env=process_env(),
         )
     finally:
         os.close(stdout)
@@ -748,13 +890,11 @@ def test_closed_standard_stream_exits_1_with_one_line(tmp_path, fd, argv, messag
     """A process started without fd 0 once ended in an AttributeError
     traceback on ``--in -``; one started without fd 1 dropped its report
     and exited 0."""
-    import domcount
-
     proc = subprocess.run(
         [sys.executable, "-m", "domcount", *argv],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         preexec_fn=lambda: os.close(fd), cwd=tmp_path, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        env=process_env(),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
 
@@ -781,7 +921,6 @@ def test_a_process_prints_what_run_cli_prints(tmp_path, monkeypatch, capsys, cod
     (tmp_path / "padded.g6").write_bytes(b"DNx\n")
     (tmp_path / "non-ascii.g6").write_bytes(b"caf\xc3\xa9\n")
     monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, in both
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # buffered, as by default
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == code
     out, err = capsys.readouterr()
@@ -810,14 +949,11 @@ def test_lenient_warnings_are_one_line_whatever_the_filters(
 ):
     """Padding warnings once printed a file:line location and the source
     line, once per location, and under ``-W error`` ended in a traceback."""
-    import domcount
-
     (tmp_path / "input.g6").write_bytes(data)
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "domcount", *argv, "--lenient"],
         capture_output=True, cwd=tmp_path, timeout=60,
-        env={**os.environ, **env,
-             "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        env=process_env(env),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b"domcount: warning: nonzero padding bits in graph6 record\n"
@@ -828,8 +964,6 @@ def test_lenient_warnings_are_one_line_whatever_the_filters(
 def test_unwritable_warning_does_not_cost_the_report(tmp_path, stderr):
     """A warning line that cannot be written is lost, as with
     ``warnings.showwarning``; the report and exit code stay."""
-    import domcount
-
     (tmp_path / "input.g6").write_bytes(b"DNx\n")
     with open(os.devnull, "rb") as read_only:
         proc = subprocess.run(
@@ -839,7 +973,7 @@ def test_unwritable_warning_does_not_cost_the_report(tmp_path, stderr):
             stderr=read_only if stderr == "read-only" else None,
             preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
             cwd=tmp_path, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+            env=process_env(),
         )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 9
@@ -891,13 +1025,11 @@ for argv in (
 def test_diagnostics_without_stderr_stay_off_stdout(tmp_path, code, argv):
     """Without fd 2, the one-line diagnostics of exit codes 1-4 once went
     to stdout, the report stream; they are dropped instead."""
-    import domcount
-
     (tmp_path / "input.g6").write_bytes(b"caf\xc3\xa9\n")
     proc = subprocess.run(
         [sys.executable, "-m", "domcount", *argv],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         preexec_fn=lambda: os.close(2), cwd=tmp_path, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(domcount.__file__).parents[1])},
+        env=process_env(),
     )
     assert (proc.returncode, proc.stdout) == (code, b"")

@@ -9,6 +9,7 @@ import edge_list_oracle
 import graph6_oracle as oracle
 from labeled_oracle import enumerate_labeled_graphs
 from domcount import (
+    Graph,
     GraphParseError,
     SizeLimitError,
     build_component_graph,
@@ -22,8 +23,10 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import canonical_reader, corpus_texts, edge_list_order
+from domcount.graph6 import _CUT_BITS, canonical_reader, corpus_texts, edge_list_order
+from domcount.graph6 import edge_list_rows
 from domcount.graph6 import first_record, graph6_order, graph6_records, text_lines
+from domcount.graphs import MAX_VERTICES
 from domcount.scanning import graph_from_edge_mask, pair_order
 
 
@@ -49,6 +52,21 @@ def boundary_graphs(n: int) -> list:
         from_edges(n, [(i, j) for i, j in pairs if i > 0]),
         from_edges(n, [(i, j) for i, j in pairs if j < n - 1]),
     ]
+
+
+def sparse_and_dense(n: int) -> list:
+    """A random graph of order n with about 20 n edges, and its complement."""
+    rng = random.Random(n)
+    sparse = from_edges(n, (rng.sample(range(n), 2) for _ in range(20 * n)))
+    full = (1 << n) - 1
+    dense = Graph(n, tuple(full ^ 1 << v ^ row for v, row in enumerate(sparse.rows)))
+    return [sparse, dense]
+
+
+def first_cut_order() -> int:
+    """The least order whose graph6 body the writer converts in more than
+    one cut: C(n, 2) bits reach ``_CUT_BITS``."""
+    return next(n for n in range(2, MAX_VERTICES) if comb(n, 2) >= _CUT_BITS)
 
 
 def parse_outcome(parse, data, strict):
@@ -167,6 +185,35 @@ class TestWriteGraph6:
     def test_round_trip_extended_with_edges(self):
         g = from_edges(70, [(0, 69), (1, 2), (68, 69)])
         assert parse_graph6(write_graph6(g)).rows == g.rows
+
+
+class TestWriterCuts:
+    """The graph6 writer converts its bit stream in cuts of whole base64
+    quads, and the edge-list writer yields one text per row; both write
+    the bytes of the former bit-by-bit and per-edge writers."""
+
+    ORDERS = [first_cut_order() + k for k in range(-2, 4)] + [MAX_VERTICES]
+
+    def test_first_cut_order(self):
+        """``tests/cli_parity.py`` writes files at one order past it."""
+        assert first_cut_order() == 363
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_graph6_matches_oracle(self, n):
+        for graph in sparse_and_dense(n):
+            record = write_graph6(graph)
+            assert record == oracle.write_graph6(graph)
+            assert parse_graph6(record).rows == graph.rows
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_edge_rows_match_oracle(self, n):
+        # the dense edge list of order 4096 is 80 MB of oracle text
+        for graph in sparse_and_dense(n)[: 1 if n == MAX_VERTICES else 2]:
+            rows = list(edge_list_rows(graph))
+            assert rows[0] == f"{n}\n" and all(row[-1:] == "\n" for row in rows)
+            above = [row >> (u + 1) for u, row in enumerate(graph.rows)]
+            assert len(rows) == 1 + sum(map(bool, above))
+            assert "".join(rows) == edge_list_oracle.write_edge_list(graph)
 
 
 class TestOracleEquivalence:
