@@ -31,7 +31,6 @@ from typing import Any, Iterator
 from .constructions import PartitionPlan, build_component_graph, component_plan
 from .constructions import efficiency_ratio, max_total_dominating_pairs
 from .domination import (
-    COUNT_VERTEX_CAP,
     check_countable,
     count_minimum,
     count_sets_with_witnesses,
@@ -45,8 +44,8 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graph6 import edge_list_head, edge_list_order, edge_list_rows, first_record
-from .graph6 import graph6_order, parse_edge_list, parse_graph6, write_graph6
+from .graph6 import edge_list_lines, edge_list_rows, first_record, graph6_order
+from .graph6 import parse_graph6, read_edges, read_vertex_count, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import scan_corpus, scan_labeled, text_blocks
@@ -113,35 +112,34 @@ def _open_text(path: str) -> Iterator[Iterator[str]]:
 
 
 def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
-    """The --in graph.  With ``counting``, an order past the counting cap is
-    refused from the count line or size field, before the body is parsed
-    or kept."""
-    edges = args.format == "edges"
+    """The --in graph, read in blocks of whole lines: an edge list line by
+    line, its count line first (with ``counting``, an order past the
+    counting cap is refused there, before any edge is read), and a graph6
+    input up to its first record.  Whatever ends the reading, the rest of
+    the input is then decoded, not kept, in a ``finally``, so a byte the
+    decoder rejects is the error, wherever it is; a graph6 record is
+    parsed only after that, so no ``--lenient`` warning comes before it."""
     with _open_text(args.infile) as pieces:
-        # read in blocks of whole lines up to the head: an edge list's text
-        # up to its count line, or a graph6 input's first record
         blocks = text_blocks(pieces)
-        if edges:
-            head = edge_list_head(blocks)
-            order = edge_list_order(head[-1]) if head else None
-            refused = counting and order is not None and order > COUNT_VERTEX_CAP
-            text = "" if refused else "".join(chain(head, blocks))
-        else:
+        try:
+            if args.format == "edges":
+                lines = edge_list_lines(blocks)
+                n = read_vertex_count(lines)
+                if counting:
+                    check_countable(n)
+                return read_edges(n, lines)
             head = first_record(blocks)
-            order = graph6_order(head[0]) if head else None
-            text = head[0] if head else ""
-        # the rest, if any, is decoded, not kept, piece by piece rather than
-        # in lines, which can be long, and then the blocks raise a failed
-        # read they held back
-        for _ in chain(pieces, blocks):
-            pass
-    if not (edges or text):
+        finally:
+            # piece by piece rather than in lines, which can be long, and
+            # then the blocks raise a failed read they held back
+            for _ in chain(pieces, blocks):
+                pass
+    if not head:
         raise GraphParseError("no graph6 record found in input")
+    order = graph6_order(head[0])
     if counting and order is not None:
         check_countable(order)
-    if edges:
-        return parse_edge_list(text)
-    return parse_graph6(text, strict=not args.lenient)
+    return parse_graph6(head[0], strict=not args.lenient)
 
 
 def _cmd_gamma(args: argparse.Namespace) -> dict[str, Any]:

@@ -26,6 +26,15 @@ strided slice, which one ``bytes.translate`` and ``int(..., 2)`` turn into
 a bit plane, one lane per record, to check a byte rule or to read an
 edge.
 
+Both formats are read from texts of whole lines by one rule: a line ends
+at ``"\\n"`` and nowhere else, and :func:`split_lines` splits them there.
+Line ends are made ``"\\n"`` before that: ``"\\r\\n"`` and ``"\\r"`` by the
+CLI's decoder and by :func:`parse_edge_list`, ``"\\r\\n"`` by
+:func:`corpus_texts`.  An edge list is read a line at a time
+(:func:`edge_list_lines`, numbered across the texts): its count line
+(:func:`read_vertex_count`), then its edges (:func:`read_edges`), so a
+caller can act on the order before any edge is read.
+
 The edge-list writer works on whole rows the same way.  Row u's neighbours
 above u come from one ``format`` of ``rows[u] >> (u + 1)``, whose reversed
 digits select from a table of vertex labels, and one join writes the row's
@@ -37,7 +46,6 @@ from __future__ import annotations
 
 import binascii
 import io
-import re
 import warnings
 from math import comb
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -264,12 +272,6 @@ def canonical_reader(n: int) -> Callable[[str], tuple[int, list[int]]]:
     return read
 
 
-def text_lines(text: str) -> list[str]:
-    """The lines of ``text``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``,
-    as when a file is read with universal newlines, and at nothing else."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 _T = TypeVar("_T")
 
 
@@ -339,20 +341,29 @@ def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[G
     return (parse_graph6(record, strict=strict) for record in records)
 
 
-def _token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, tokens) of each line that is not blank or a
-    comment."""
-    for line_number, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield line_number, tokens
-
-
 def _integer(token: str) -> int:
     """``int(token)``, for ASCII digits after an optional ``-`` only."""
     if token.isascii() and token.removeprefix("-").isdigit():
         return int(token)
     raise ValueError(f"not an integer: {token!r}")
+
+
+def edge_list_lines(
+    texts: Iterable[str],
+) -> Iterator[tuple[int, list[str], Callable[[str], int]]]:
+    """(1-based line number, tokens, endpoint reader) of each line of an
+    edge list's texts of whole lines (:func:`split_lines`) that is not
+    blank or a comment, numbered across the texts, each made as it is
+    read.  The endpoint reader takes what :func:`_integer` takes."""
+    line_number = 0
+    for text in texts:
+        # int also takes "+", "_" and non-ASCII digits; where the text holds
+        # none of them, even in a comment, it takes what _integer takes, faster
+        plain = text.isascii() and "+" not in text and "_" not in text
+        number = int if plain else _integer
+        for line_number, line in enumerate(split_lines((text,)), line_number + 1):
+            if tokens := line.split("#", 1)[0].split():
+                yield line_number, tokens, number
 
 
 def _line_error(message: str, line_number: int) -> GraphParseError:
@@ -361,12 +372,14 @@ def _line_error(message: str, line_number: int) -> GraphParseError:
     return GraphParseError(f"{message} on line {line_number}", position=line_number)
 
 
-def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
-    """The vertex count on the first of an edge list's :func:`_token_lines`."""
+def read_vertex_count(lines: Iterator[tuple[int, list[str], Callable]]) -> int:
+    """The vertex count on the first of an edge list's
+    :func:`edge_list_lines`, taken from ``lines``; :func:`read_edges`
+    reads the rest."""
     first = next(lines, None)
     if first is None:
         raise GraphParseError("missing vertex count line")
-    line_number, tokens = first
+    line_number, tokens, _ = first
     if len(tokens) != 1:
         raise _line_error("expected a single vertex count", line_number)
     try:
@@ -380,49 +393,11 @@ def _vertex_count(lines: Iterator[tuple[int, list[str]]]) -> int:
     return n
 
 
-def _head_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """:func:`_token_lines` of ``text``, its lines taken one at a time, with
-    the line ends of :func:`text_lines`; empty lines, which it keeps, hold
-    no tokens."""
-    return _token_lines(line.group() for line in re.finditer(r"[^\r\n]+", text))
-
-
-def edge_list_order(text: str) -> int | None:
-    """The vertex count an edge list declares, read without its edge lines;
-    None when :func:`parse_edge_list` would reject the count line."""
-    try:
-        return _vertex_count(_head_lines(text))
-    except (GraphParseError, SizeLimitError):
-        return None
-
-
-def edge_list_head(texts: Iterable[str]) -> list[str]:
-    """Texts of whole lines of an edge list, read up to the one that holds
-    its count line (its first line that is not blank or a comment), or all
-    of them when none does; the texts after it are left unread.  The count
-    line is the last text's first: :func:`edge_list_order` of that text
-    reads it."""
-    head = []
-    for text in texts:
-        head.append(text)
-        if next(_head_lines(text), None):
-            break
-    return head
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text: a vertex count line, then ``u v`` lines.
-
-    ``#`` starts a comment; blank lines are skipped; duplicate edges are
-    ignored.  Errors carry 1-based line numbers.
-    """
-    lines = _token_lines(text_lines(text))
-    n = _vertex_count(lines)
+def read_edges(n: int, lines: Iterable[tuple[int, list[str], Callable]]) -> Graph:
+    """The order-n graph of an edge list's ``u v`` lines, the
+    :func:`edge_list_lines` after its count line."""
     rows = [0] * n
-    # int also takes "+", "_" and non-ASCII digits; where the text holds
-    # none of them, even in a comment, it takes what _integer takes, faster
-    number = int if text.isascii() and "+" not in text and "_" not in text else _integer
-    for line_number, tokens in lines:
+    for line_number, tokens, number in lines:
         if len(tokens) != 2:
             raise _line_error("expected 'u v'", line_number)
         try:
@@ -436,6 +411,17 @@ def parse_edge_list(text: str) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse edge-list text: a vertex count line, then ``u v`` lines.
+
+    ``#`` starts a comment; blank lines are skipped; duplicate edges are
+    ignored.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``.  Errors carry
+    1-based line numbers.
+    """
+    lines = edge_list_lines([text.replace("\r\n", "\n").replace("\r", "\n")])
+    return read_edges(read_vertex_count(lines), lines)
 
 
 def edge_list_rows(g: Graph) -> Iterator[str]:

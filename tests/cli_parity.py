@@ -25,7 +25,7 @@ The invocations:
   1000000`` past the vertex cap;
 * ``construct --out`` in both formats at n = 364, one order past the graph6
   writer's first cut, and at n = 4096, each followed by ``count --size 2
-  --in`` of the written file;
+  --in`` of the written file, and ``gamma --in`` of the n = 364 edge list;
 * ``--help`` of the tool and of every subcommand;
 * ``scan --corpus`` over small malformed or non-canonical corpora, in both
   modes, with and without ``--lenient``, and without ``--n``, with the
@@ -49,8 +49,11 @@ The invocations:
   (``block_inputs``), in both modes, with and without ``--lenient``;
 * ``gamma --in`` and ``count --in`` over ``LONE_INPUTS``: edge lists whose
   count line follows 70 000 comment characters (n = 65 with a loop on a
-  later line, and a valid n = 5), and empty and whitespace-only files in
-  both formats, in both modes, with and without ``--lenient``;
+  later line, and a valid n = 5); edge lists with, past the first 64 KiB
+  text block, a bad line, an endpoint with ``_`` or with ``+``; an n = 5000
+  edge list, with and without a non-ASCII byte past that block; and empty
+  and whitespace-only files in both formats, in both modes, with and
+  without ``--lenient``;
 * ``gamma --in -`` and ``count --in -`` in both formats, and ``scan
   --corpus -`` on graph6, with each of those corpora, separated files,
   stream inputs, block inputs and lone inputs fed through ``sys.stdin``,
@@ -93,9 +96,16 @@ SEPARATORS = {"vt": b"\v", "ff": b"\f", "fs": b"\x1c", "gs": b"\x1d", "rs": b"\x
 # scanning.TEXT_BLOCK, the scan's text block, is 64 KiB
 BLANKS_AT = (8191, 8192, 65535, 65537)
 LONG_HEADER = b"#" * 70_000 + b"\n"
+# 80 KB of edge lines: what follows them is past the first 64 KiB text block
+PAST_A_BLOCK = b"0 1\n" * 20_000
 LONE_INPUTS = {
     "long_header_65.edges": LONG_HEADER + b"65\n0 1\n2 2\n",
     "long_header_5.edges": LONG_HEADER + b"5\n0 1\n1 2\n3 4\n",
+    "late_bad_line.edges": b"10\n" + PAST_A_BLOCK + b"0 x\n1 2\n",
+    "late_underscore.edges": b"10\n" + PAST_A_BLOCK + b"3 1_0\n",
+    "late_plus.edges": b"10\n" + PAST_A_BLOCK + b"+2 3\n",
+    "n5000.edges": b"5000\n" + PAST_A_BLOCK,
+    "n5000_late_non_ascii.edges": b"5000\n" + PAST_A_BLOCK + b"caf\xc3\xa9\n",
     "empty.edges": b"",
     "whitespace.edges": b" \n\t\r\n",
     "empty.g6": b"",
@@ -147,6 +157,7 @@ def invocations(work: Path, seed: int) -> list[tuple]:
                        "--out", path]),
                 (own, ["count", "--size", "2", "--in", path, "--format", fmt]),
             ]
+    runs.append((own, ["gamma", "--in", "big364.edges", "--format", "edges"]))
     runs.append((own, ["--help"]))
     runs += [(own, [command, "--help"]) for command in SUBCOMMANDS]
     fed = []  # (path, format) of every file also read from standard input

@@ -465,6 +465,76 @@ class TestEdgeListCountLine:
         assert (report["n"], report["m"], report["count"]) == (4, 3, 4)
 
 
+class TestEdgeListStream:
+    """``gamma --in`` and ``count --in`` read an edge list one block of
+    whole lines at a time, its count line first: neither a valid list nor
+    one past the vertex cap is held whole, line numbers run across blocks,
+    and each block's endpoints are read by the rule of the whole text."""
+
+    def outcomes(self, capsys, tmp_path, data):
+        """The set of (exit code, report, stderr) of ``gamma --in`` and
+        ``count --in`` on ``data``, which they refuse."""
+        path = tmp_path / "input.edges"
+        path.write_bytes(data)
+        return {run(capsys, command, "--in", str(path), "--format", "edges")
+                for command in ("gamma", "count")}
+
+    def test_valid_list_traced_peak(self, capsys, tmp_path):
+        """The text was joined and split into one string per line: a
+        traced peak of about 12.5 MB on this 800 KB list."""
+        path = tmp_path / "input.edges"
+        path.write_bytes(b"10\n" + b"0 1\n" * 200_000)
+        code, peak = traced_peak(["gamma", "--in", str(path), "--format", "edges"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert without_timing(json.loads(out)) == {
+            "n": 10, "m": 1, "mode": "dominating", "gamma": 9}
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("command", ["gamma", "count"])
+    def test_past_the_vertex_cap_traced_peak(self, capsys, tmp_path, command):
+        """An order past the vertex cap was refused only once the whole
+        text had been joined and split: a traced peak of about 31 MB."""
+        path = tmp_path / "input.edges"
+        path.write_bytes(b"5000\n" + b"0 1\n" * 500_000)
+        code, peak = traced_peak([command, "--in", str(path), "--format", "edges"])
+        err = "domcount: size limit: edge list has n=5000, cap is 4096\n"
+        assert (code, capsys.readouterr().err) == (4, err)
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [(b"0 x", "non-integer endpoint"), (b"0 1 2", "expected 'u v'"),
+         (b"3 3", "loop 3-3"), (b"0 10", "edge (0, 10) out of range for n=10")],
+        ids=["endpoint", "tokens", "loop", "range"],
+    )
+    def test_line_numbers_run_across_blocks(self, capsys, tmp_path, line, message):
+        """The bad line is in the second 64 KiB block."""
+        data = b"# c\n10\n" + b"0 1\n" * 20_000 + line + b"\n1 2\n"
+        assert data.index(line + b"\n1 2") > 1 << 16
+        assert self.outcomes(capsys, tmp_path, data) == {
+            (2, None, f"domcount: parse error: {message} on line 20003\n")}
+
+    @pytest.mark.parametrize("token", [b"1_0", b"+2", b"0_1"])
+    def test_a_later_block_keeps_the_endpoint_rule(self, capsys, tmp_path, token):
+        """``int`` reads a block with no ``+`` or ``_``; a later block that
+        has one is read by the strict rule (``int`` would take 10 and 2)."""
+        data = b"10\n" + b"0 1\n" * 20_000 + b"3 " + token + b"\n"
+        assert self.outcomes(capsys, tmp_path, data) == {
+            (2, None, "domcount: parse error: non-integer endpoint on line 20002\n")}
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"10\n0 x\n", b"x\n", b"5000\n", b"10\n" + b"0 1\n" * 20_000],
+        ids=["bad-edge", "bad-count", "past-the-cap", "valid"],
+    )
+    def test_a_later_non_ascii_byte_comes_first(self, capsys, tmp_path, head):
+        """Whatever ends the reading, the rest is decoded first."""
+        data = head + b"0 1\n" * 30_000 + b"caf\xc3\xa9\n" + b"0 1\n" * 10
+        assert self.outcomes(capsys, tmp_path, data) == {
+            (2, None, "domcount: parse error: 'ascii' codec can't decode byte 0xc3\n")}
+
+
 class TestConstruct:
     def test_inline_graph6(self, capsys):
         code, report, _ = run(capsys, "construct", "--n", "9", "--gamma", "3")

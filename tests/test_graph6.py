@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from math import comb
 
@@ -23,9 +24,9 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import _CUT_BITS, canonical_reader, corpus_texts, edge_list_order
-from domcount.graph6 import edge_list_rows
-from domcount.graph6 import first_record, graph6_order, graph6_records, text_lines
+from domcount.graph6 import _CUT_BITS, canonical_reader, corpus_texts, edge_list_lines
+from domcount.graph6 import edge_list_rows, read_edges, read_vertex_count
+from domcount.graph6 import first_record, graph6_order, graph6_records
 from domcount.graphs import MAX_VERTICES
 from domcount.scanning import graph_from_edge_mask, pair_order
 
@@ -251,9 +252,11 @@ class TestOracleEquivalence:
 
 
 class TestDeclaredOrder:
-    """``graph6_order`` and ``edge_list_order`` read the order a parser
-    would find without reading the body; None only when the parser rejects
-    the header itself."""
+    """``graph6_order`` reads the order a parser would find without reading
+    the body, None only when the parser rejects the header itself; the
+    edge-list reader's count-line step, ``read_vertex_count``, reads it
+    without reading the edge lines, and raises what the parser raises when
+    the count line is bad."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -311,25 +314,56 @@ class TestDeclaredOrder:
         ],
     )
     def test_edge_list_count_line(self, text, order):
-        assert edge_list_order(text) == order
         try:
             parsed = parse_edge_list(text)
-        except (GraphParseError, SizeLimitError):
+        except (GraphParseError, SizeLimitError) as exc:
+            error = exc
             assert order is None or text.startswith("#")
         else:
             assert parsed.n == order
+        for texts in ([text], whole_lines(text)):
+            if order is None:
+                with pytest.raises(type(error)) as raised:
+                    count_line(texts)
+                assert str(raised.value) == str(error)
+            else:
+                assert count_line(texts) == order
 
     def test_edge_list_count_line_after_a_long_header(self):
         """The count line is found however far into the text it starts."""
         text = "#" * 70_000 + "\n9\n"
         assert parse_edge_list(text).n == 9
-        assert edge_list_order(text) == 9
+        assert count_line([text]) == 9
         # the count line "70" straddles the first 64 KiB: read whole, not "7"
         text = "#" * ((1 << 16) - 2) + "\n70\n0 1\n"
         assert parse_edge_list(text).n == 70
-        assert edge_list_order(text) == 70
+        assert count_line([text]) == 70
         text = "9\n" + "0 1\n" * 20_000
-        assert edge_list_order(text) == 9
+        assert count_line([text]) == 9
+
+
+def count_line(texts):
+    """The vertex count of an edge list's texts of whole lines."""
+    return read_vertex_count(edge_list_lines(texts))
+
+
+def whole_lines(text):
+    """``text`` as one text per line, each with its ``"\\n"``."""
+    return re.findall(r"[^\n]*\n|[^\n]+", text)
+
+
+def test_the_endpoint_rule_is_chosen_per_text():
+    """``int`` reads a text with no ``+``, ``_`` or non-ASCII character;
+    a later text that has one is read by the strict rule."""
+    plain = "10\n" + "0 1\n" * 100
+    for late in ("3 1_0\n", "3 +2\n", "3 \u0663\n"):
+        lines = edge_list_lines([plain, late])
+        n = read_vertex_count(lines)
+        with pytest.raises(GraphParseError, match="^non-integer endpoint on line 102$"):
+            read_edges(n, lines)
+    lines = edge_list_lines(["# 1_0 +2\n10\n", "0 1\n", "0 2 # \u0663\n"])
+    graph = read_edges(read_vertex_count(lines), lines)
+    assert sorted(graph.edges()) == [(0, 1), (0, 2)]
 
 
 class TestNetworkxCrossCheck:
@@ -364,7 +398,7 @@ class TestIterGraph6:
         assert graphs[0].m == 6
 
     def test_records_are_stripped_non_blank_lines(self):
-        lines = text_lines("\n C~ \r\n\t\rC]\x1c\nC?\vC~\n")
+        lines = re.split(r"\r\n|\r|\n", "\n C~ \r\n\t\rC]\x1c\nC?\vC~\n")
         assert lines == ["", " C~ ", "\t", "C]\x1c", "C?\vC~", ""]
         assert list(graph6_records(lines)) == ["C~", "C]", "C?\vC~"]
 
