@@ -45,10 +45,11 @@ from .errors import (
     UndefinedTotalDominationError,
 )
 from .graph6 import edge_list_lines, edge_list_rows, first_record, graph6_order
-from .graph6 import parse_graph6, read_edges, read_vertex_count, write_graph6
+from .graph6 import parse_graph6, read_edges, read_vertex_count, text_blocks
+from .graph6 import write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
-from .scanning import scan_corpus, scan_labeled, text_blocks
+from .scanning import scan_corpus, scan_labeled
 
 _JSON_SAFE_MAX = 2**53
 

@@ -21,17 +21,19 @@ give identical records on identical inputs:
   the k planes of the lane number (:func:`lane_planes`), and the
   block's start sets the rest;
 * ``extremal_scan`` -- a stream of ``Graph`` objects of one order, in
-  blocks of ``SCAN_BLOCK`` (:func:`in_blocks`), with planes read from the
-  graphs' rows, each a run of one block with no constant plane;
-* ``scan_corpus`` -- a graph6 corpus, as texts of whole lines: blocks of
-  ``TEXT_BLOCK`` characters as read (:func:`text_blocks`), or single
-  lines, each made a ``str`` with ``"\\n"`` line ends once, as it is read
-  (``graph6.corpus_texts``).  A text that is a run of canonical records of
-  the corpus order is read straight from its bytes by
-  ``graph6.canonical_reader`` and goes through the kernel whole, with no
-  ``str`` per line.  Any other text is split into lines, which go in
-  blocks of ``SCAN_BLOCK`` through the same reader, and any line it does
-  not take goes through ``parse_graph6``, in file order.
+  blocks of ``SCAN_BLOCK``, each graph checked as it is read, with planes
+  read from the graphs' rows, each a run of one block with no constant
+  plane;
+* ``scan_corpus`` -- a graph6 corpus, as texts of whole lines, each made a
+  ``str`` with ``"\\n"`` line ends once, as it is read
+  (``graph6.corpus_texts``), and taken in blocks of whole lines of about
+  ``TEXT_BLOCK`` characters (``graph6.text_blocks``), as the CLI reads a
+  file.  A block that is a run of canonical records of the corpus order is
+  read straight from its bytes by ``graph6.canonical_reader`` and goes
+  through the kernel whole, with no ``str`` per line.  Any other block is
+  split into lines once, which go in groups of ``SCAN_BLOCK`` through the
+  same reader, and any line it does not take goes through
+  ``parse_graph6``, in file order.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
 from operator import and_, or_
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
 from .graph6 import _BIT, _plane, canonical_reader, corpus_texts, first_record
-from .graph6 import graph6_bits, graph6_order, iter_graph6, split_lines, write_graph6
-from .graphs import Frozen, Graph, VertexSet, check_order, from_edges, new_graph
+from .graph6 import graph6_bits, graph6_order, iter_graph6, split_lines, text_blocks
+from .graph6 import write_graph6
+from .graphs import Frozen, Graph, VertexSet, check_order, from_edges
 from .graphs import select_bits
 
 # 2^C(7,2) = 2,097,152 labeled graphs; order 8 already has 2^28.
@@ -67,24 +70,10 @@ ENUMERATION_MAX_N = 7
 #   2^21       29.4 / 31.7 ms   33.8-37.1 MB (all of order 7 in one block)
 CHUNK_BITS = 16
 
-# Characters per corpus text block: the whole lines read once this much text
-# has been read.  `scan --corpus` on 25 000 order-8 records (175 000 bytes)
-# on a 2-vCPU x86 VM: scan ms dominating / total and the process's peak RSS
-# (fresh processes, median of 15; the RSS varies by about 0.2 MB from run
-# to run), then the traced peak of a second scan in one process:
-#   8 KiB     7.9 / 8.6 ms   15.5 MB    110 KB
-#   16 KiB    6.8 / 7.1 ms   15.6 MB    147 KB
-#   32 KiB    6.7 / 6.8 ms   15.6 MB    230 KB
-#   64 KiB    5.9 / 5.9 ms   15.5 MB    410 KB
-#   128 KiB   5.8 / 5.8 ms   15.6 MB    671 KB
-#   256 KiB   6.6 / 5.6 ms   15.7 MB   1027 KB
-# Blocks of 1024 lines, a str each, took 12.3 / 11.6 ms, 15.5 MB and 186 KB.
-# Past 64 KiB a block saves no time, and the traced peak keeps growing.
-TEXT_BLOCK = 1 << 16
-
-# Graphs, or corpus lines outside canonical text blocks, per kernel call.
-# Chosen on corpus lines, before text blocks, against 256 to 8192 lines:
-# past 1024 each doubling saved at most 1 ms of 7 and added peak RSS.
+# Graphs, or lines of a corpus text block that is not a run of canonical
+# records, per kernel call.  Chosen when every corpus line went through
+# groups of this size, against 256 to 8192 lines: past 1024 each doubling
+# saved at most 1 ms of 7 and added peak RSS.
 SCAN_BLOCK = 1024
 
 
@@ -243,62 +232,6 @@ def pair_counts(
         yield start, digits, qualified ^ (qualified & dominated)
 
 
-_T = TypeVar("_T")
-
-
-def text_blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """Text, read in pieces, in blocks of whole lines: the whole lines read
-    so far, once the text read comes to ``TEXT_BLOCK`` characters, then the
-    rest.  A line is kept whole, however long.  A failed read is raised
-    only after the whole lines read before it have been handed out, as in
-    :func:`in_blocks`."""
-    whole: list[str] = []  # pieces up to the last "\n" read
-    part: list[str] = []  # the line read since
-    size = 0
-    try:
-        for piece in pieces:
-            size += len(piece)
-            if end := piece.rfind("\n") + 1:
-                whole += part
-                whole.append(piece[:end])
-                part = [piece[end:]]
-            else:
-                part.append(piece)
-            if whole and size >= TEXT_BLOCK:
-                block, whole = "".join(whole), []
-                size -= len(block)
-                yield block
-    except Exception:
-        if whole:
-            yield "".join(whole)
-        raise
-    if rest := "".join(whole + part):
-        yield rest
-
-
-def in_blocks(items: Iterable[_T]) -> Iterator[list[_T]]:
-    """Items (graphs, or corpus lines outside canonical text blocks) in
-    blocks of ``SCAN_BLOCK``, the last one shorter.
-
-    A failed read (for example a byte the text decoder rejects, or a record
-    ``parse_graph6`` refuses) is raised only after the items read before it
-    in its block have been handed out (``list.extend`` keeps what it
-    appended before the error), so an error in an earlier item still comes
-    first, as when items are taken one by one.
-    """
-    stream = iter(items)
-    while True:
-        block: list[_T] = []
-        try:
-            block.extend(islice(stream, SCAN_BLOCK))
-        except Exception:
-            yield block
-            raise
-        yield block
-        if len(block) < SCAN_BLOCK:
-            return
-
-
 class PairMaximum:
     """Running γ=2 maximum over a stream of graphs of one order: the
     largest (total) dominating pair count among graphs with domination
@@ -343,9 +276,10 @@ class PairMaximum:
             if top > self.count or witness < self.witness:
                 self.count, self.witness = top, witness
 
-    def add_graphs(self, graphs: Iterable[Graph]) -> None:
-        """Take a block of graphs of the stream, in stream order: each is
-        checked in turn, then the kernel runs once on the block."""
+    def add_graphs(self, graphs: Iterable[Graph]) -> int:
+        """Take a block of graphs of the stream, in stream order, and return
+        how many it took: each is checked as it is read, then the kernel
+        runs once on the block."""
         block = []
         for g in graphs:
             if self.n is None:
@@ -355,7 +289,7 @@ class PairMaximum:
                 raise MixedOrderError(f"graph stream mixes orders {self.n} and {g.n}")
             block.append(g)
         if not block:
-            return
+            return 0
         # Row i of every graph as `width` big-endian bytes, last graph
         # first: bit j of the row is a byte column of its own.
         width = (self.n + 7) // 8
@@ -368,6 +302,7 @@ class PairMaximum:
             for i, j in pair_order(self.n)
         ]
         self.add_run(planes, (1 << len(block)) - 1, [0])
+        return len(block)
 
     def read_order(self, record: str, strict: bool) -> None:
         """Take the stream's order from its first graph6 record, and the
@@ -378,53 +313,35 @@ class PairMaximum:
         if self.n is None or self.n > COUNT_VERTEX_CAP:
             graph6_bits(record, strict)  # raises or warns, as parse_graph6
         check_countable(self.n)
-        self._read = canonical_reader(self.n)
-        self._stride = len(write_graph6(new_graph(self.n))) + 1  # a canonical line
+        self._stride, self._read = canonical_reader(self.n)
 
-    def add_lines(self, block: list[str], strict: bool) -> None:
-        """Take a block of graph6 corpus lines (blank lines skipped), once
-        the order is set.
+    def add_text(self, text: str, strict: bool) -> None:
+        """Take a text of whole graph6 corpus lines (blank lines skipped),
+        once the order is set.
 
-        The lines of a canonical line's length are joined into one text for
-        the stream's ``canonical_reader``; the canonical records among them
-        go through the kernel as one block, and a witness among them is
-        written from their edge planes.  Every other line is split at
-        ``"\\n"`` and parsed by ``parse_graph6`` in file order; canonical
+        A run of canonical records of the stream's order, read by its
+        ``canonical_reader``, goes through the kernel whole.  Any other text
+        is split into lines once, taken in groups of ``SCAN_BLOCK``: the
+        lines of a canonical line's length are joined into one text for the
+        reader, and the canonical records among them go through the kernel
+        as one block, with a witness written from their edge planes.  Every
+        other line is parsed by ``parse_graph6`` in file order; canonical
         records never raise, so errors and warnings come out in file order.
         """
-        at = [i for i, line in enumerate(block) if len(line) == self._stride]
-        ok, planes = self._read("".join([block[i] for i in at]))
-        if ok != (1 << len(block)) - 1:
-            canonical = set(select_bits(ok, at))
-            rest = (line for i, line in enumerate(block) if i not in canonical)
-            self.add_graphs(iter_graph6(split_lines(rest), strict))
-        if ok:
+        ok, planes = self._read(text)
+        if ok and ok == (1 << len(text) // self._stride) - 1:
             self.add_run(planes, ok, [0])
-
-    def corpus_lines(self, texts: Iterable[str]) -> Iterator[str]:
-        """The lines of texts of whole corpus lines, as ``corpus_texts``
-        gives them, once the order is set, less the runs of canonical
-        records that it takes as it reads them.
-
-        A text longer than a canonical line goes through the kernel whole
-        when it is a run of canonical records of the stream's order, read by
-        its ``canonical_reader``, and is split into lines otherwise.  A
-        shorter text is handed on as a line, since it can hold no run:
-        :meth:`add_lines` splits it if it holds more.  A run never raises or
-        warns, and the record does not depend on the order in which graphs
-        are taken, so taking a run ahead of the lines before it changes
-        nothing.
-        """
-        for text in texts:
-            if len(text) <= self._stride:
-                if text:
-                    yield text
-                continue
-            ok, planes = self._read(text)
-            if ok == (1 << len(text) // self._stride) - 1:
+            return
+        lines = split_lines([text])
+        while block := list(islice(lines, SCAN_BLOCK)):
+            at = [i for i, line in enumerate(block) if len(line) == self._stride]
+            ok, planes = self._read("".join([block[i] for i in at]))
+            if ok != (1 << len(block)) - 1:
+                canonical = set(select_bits(ok, at))
+                rest = (line for i, line in enumerate(block) if i not in canonical)
+                self.add_graphs(iter_graph6(rest, strict))
+            if ok:
                 self.add_run(planes, ok, [0])
-            else:
-                yield from split_lines([text])
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -473,12 +390,13 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     because every pair of K_n is totally dominating.  In total mode,
     graphs with no total dominating pair (in particular graphs with an
     isolated vertex) count toward ``graphs_scanned`` but cannot produce
-    the maximum.  The stream is read in blocks of ``SCAN_BLOCK``
-    (:func:`in_blocks`), and a block's graphs are checked once it is read.
+    the maximum.  The stream is read in blocks of ``SCAN_BLOCK``, and each
+    graph is checked as it is read.
     """
     best = PairMaximum(mode)
-    for block in in_blocks(graphs):
-        best.add_graphs(block)
+    graphs = iter(graphs)
+    while best.add_graphs(islice(graphs, SCAN_BLOCK)) == SCAN_BLOCK:
+        pass
     if best.n is None:
         raise ValueError("graph stream is empty")
     return _record(best)
@@ -489,11 +407,9 @@ def scan_corpus(
 ) -> ExtremalRecord:
     """:func:`extremal_scan` (target 2) over a graph6 corpus, one record
     per line, blank lines skipped, given as texts of whole lines (single
-    lines, or blocks of them such as :func:`text_blocks` makes), each split
-    at ``"\\n"`` only: the same record and errors as
-    ``extremal_scan(iter_graph6(lines, strict), mode)`` on those lines, and
-    its warnings up to the first refused record (that scan reads the rest
-    of the record's block first, and may warn about it).
+    lines, or blocks of them), each split at ``"\\n"`` only: the same
+    record, errors and warnings as
+    ``extremal_scan(iter_graph6(lines, strict), mode)`` on those lines.
 
     Texts may be ``str``, ``bytes`` or ``bytearray``, each with ``"\\n"``
     or ``"\\r\\n"`` line ends and with or without a final one; each is
@@ -504,12 +420,13 @@ def scan_corpus(
     The texts are read up to the first record, whose size field sets the
     order: :class:`SizeLimitError` past the counting cap, after that
     record's own error or warning and before anything after it is read.
-    Texts that are runs of canonical records of that order are read
-    straight from their bytes into edge planes, and the witness is written
-    from those planes; any other text is split into lines, read in bounded
-    blocks, and any line that is not a canonical record goes through
-    :func:`parse_graph6`, in file order.  Raises :class:`GraphParseError`
-    when the corpus holds no record.
+    The texts are then taken in blocks of whole lines of about
+    ``TEXT_BLOCK`` characters (``graph6.text_blocks``).  A block that is a
+    run of canonical records of that order is read straight from its bytes
+    into edge planes, and the witness is written from those planes; any
+    other block is split into lines, and any line that is not a canonical
+    record goes through :func:`parse_graph6`, in file order.  Raises
+    :class:`GraphParseError` when the corpus holds no record.
     """
     best = PairMaximum(mode)
     texts = corpus_texts(texts)
@@ -517,8 +434,8 @@ def scan_corpus(
     if not head:
         raise GraphParseError("no graph6 record found in corpus")
     best.read_order(head[0], strict)
-    for block in in_blocks(best.corpus_lines(chain(head, texts))):
-        best.add_lines(block, strict)
+    for block in text_blocks(chain(head, texts)):
+        best.add_text(block, strict)
     return _record(best)
 
 

@@ -35,6 +35,10 @@ The invocations:
 * ``scan --corpus`` over tied maximizers: one repeated within a block and
   across a block boundary among other maximizers, and distinct maximizers
   in descending byte order across a block boundary;
+* ``scan --corpus`` over 3000 order-8 records, each behind a
+  ``>>graph6<<`` header, with a padded record at line 1501 and a truncated
+  one at line 2501: one 64 KiB text block of lines that are not canonical
+  records, read in groups of ``SCAN_BLOCK`` lines;
 * ``gamma --in`` and ``count --in`` (graph6 and edge lists) and ``scan
   --corpus`` over files whose lines are separated, or ended, by one of
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
@@ -93,7 +97,7 @@ SUBCOMMANDS = ("gamma", "count", "construct", "formula", "optimize", "scan", "ef
 ELAPSED = re.compile(r'"elapsed_ms": \d+')
 SEPARATORS = {"vt": b"\v", "ff": b"\f", "fs": b"\x1c", "gs": b"\x1d", "rs": b"\x1e",
               "cr": b"\r", "crlf": b"\r\n"}
-# scanning.TEXT_BLOCK, the scan's text block, is 64 KiB
+# graph6.TEXT_BLOCK, the scan's text block, is 64 KiB
 BLANKS_AT = (8191, 8192, 65535, 65537)
 LONG_HEADER = b"#" * 70_000 + b"\n"
 # 80 KB of edge lines: what follows them is past the first 64 KiB text block
@@ -323,6 +327,10 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
     for at, record in [(10, ties[-1]), (600, ties[-1]), (700, ties[0]), (1000, ties[1]),
                        (1030, ties[-1]), (1050, ties[2]), (1090, ties[3])]:
         repeat[at] = record
+    # 3000 lines of 17 bytes, none canonical: one text block of lines
+    framed = records(8, 3000)
+    framed[1500] = framed[1500][:-1] + bytes([(framed[1500][-1] - 63 | 1) + 63])
+    framed[2500] = framed[2500][:-1]
     return {
         "header.g6": (8, lines([header + g8[0], *g8[1:5], header + g8[5]])),
         "header_line.g6": (8, lines([header, *g8[:5]])),
@@ -344,6 +352,7 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         "blank.g6": (8, b"\n  \n" * 600),
         "tie_repeat.g6": (8, lines(repeat)),
         "tie_descending.g6": (8, lines(records(8, 1000) + ties)),
+        "header_block.g6": (8, lines([header + record for record in framed])),
     }
 
 

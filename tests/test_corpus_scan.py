@@ -34,9 +34,10 @@ from domcount import (
     write_graph6,
 )
 from domcount.cli import _decoded, run_cli
-from domcount.errors import SizeLimitError
-from domcount.scanning import SCAN_BLOCK, TEXT_BLOCK, PairMaximum, in_blocks
-from domcount.scanning import scan_corpus, text_blocks
+from domcount import scanning
+from domcount.errors import MixedOrderError, SizeLimitError
+from domcount.graph6 import TEXT_BLOCK, text_blocks
+from domcount.scanning import SCAN_BLOCK, PairMaximum, scan_corpus
 from scan_oracle import oracle_scan_corpus
 
 MODES = ([], ["--total"], ["--lenient"], ["--total", "--lenient"])
@@ -91,7 +92,7 @@ def parsed_blocks(monkeypatch):
 
     def spy(self, graphs):
         parsed.append(list(graphs))
-        add_graphs(self, parsed[-1])
+        return add_graphs(self, parsed[-1])
 
     monkeypatch.setattr(PairMaximum, "add_graphs", spy)
     return parsed
@@ -354,7 +355,10 @@ class TestTextBlocks:
         rng = random.Random(len(end))
         data = self.fill(rng, (2 * TEXT_BLOCK // self.STRIDE + 5) * self.STRIDE)
         data = data[:-1] + end
-        assert len(cli_text_blocks(data)) == 3 and len(data) % TEXT_BLOCK
+        blocks = cli_text_blocks(data)
+        assert len(blocks) == 3 and len(data) % TEXT_BLOCK
+        # the scan groups the CLI's blocks again, and they pass through
+        assert list(text_blocks(blocks)) == blocks
         self.check(tmp_path, monkeypatch, data)
 
 
@@ -497,6 +501,35 @@ class TestLineTypes:
             assert scan_corpus(texts, mode) == want, name
         assert parsed == []
 
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_lines_reach_the_reader_in_text_blocks(self, monkeypatch, kind):
+        """Single lines are joined into text blocks of whole lines, as the
+        CLI reads a file: the canonical reader reads one text per
+        TEXT_BLOCK characters, where it read one per SCAN_BLOCK lines, and
+        no record is parsed."""
+        rng = random.Random(23)
+        lines = [random_record(rng, 8, 5 / 8) + b"\n" for _ in range(25_000)]
+        read_lengths = []
+        reader = scanning.canonical_reader
+
+        def spy(n):
+            stride, read = reader(n)
+
+            def counted(text):
+                read_lengths.append(len(text))
+                return read(text)
+
+            return stride, counted
+
+        monkeypatch.setattr(scanning, "canonical_reader", spy)
+        parsed = parsed_blocks(monkeypatch)
+        texts = lines if kind is bytes else [line.decode("ascii") for line in lines]
+        record = scan_corpus(texts, "dominating")
+        size = sum(map(len, lines))
+        assert read_lengths and max(read_lengths) <= TEXT_BLOCK
+        assert len(read_lengths) == -(-size // TEXT_BLOCK) and sum(read_lengths) == size
+        assert parsed == [] and record.graphs_scanned == len(lines)
+
     @pytest.mark.parametrize(
         "text", ["G~~~~{\n", b"G~~~~{\n", bytearray(b"G~~~~{\n")],
         ids=["str", "bytes", "bytearray"],
@@ -546,13 +579,32 @@ class TestFailedRead:
         yield from lines[:at]
         raise UnicodeDecodeError("ascii", b"\xc3", 0, 1, "ordinal not in range(128)")
 
-    def test_lines_read_before_the_error_are_handed_out(self):
-        lines = [f"{i}\n" for i in range(SCAN_BLOCK + 30)]
-        blocks = in_blocks(self.failing(lines, SCAN_BLOCK + 20))
-        assert next(blocks) == lines[:SCAN_BLOCK]
-        assert next(blocks) == lines[SCAN_BLOCK : SCAN_BLOCK + 20]
-        with pytest.raises(UnicodeDecodeError):
-            next(blocks)
+    @pytest.mark.parametrize("at", [1, SCAN_BLOCK - 11, SCAN_BLOCK + 5])
+    def test_a_refused_graph_comes_before_a_later_failed_read(self, at):
+        """``extremal_scan`` checks each graph as it reads it: a graph of
+        another order is refused before a read ten graphs later, in its
+        block, fails."""
+        rng = random.Random(at)
+        graphs = [parse_graph6(random_record(rng, 8)) for _ in range(at + 20)]
+        graphs[at] = parse_graph6(random_record(rng, 9))
+        with pytest.raises(MixedOrderError, match="mixes orders 8 and 9"):
+            extremal_scan(self.failing(graphs, at + 10), "dominating")
+
+    @pytest.mark.parametrize("mode", ["dominating", "total"])
+    def test_no_record_after_a_refused_graph_is_read(self, mode):
+        """A padded record after a graph of another order, in its block, is
+        not read, so it gives no warning, at ``extremal_scan`` as at
+        ``scan_corpus``; the failed read after it is not met either."""
+        rng = random.Random(37)
+        lines = [random_record(rng, 8, 5 / 8) for _ in range(SCAN_BLOCK + 30)]
+        lines[SCAN_BLOCK + 5] = random_record(rng, 9)
+        lines[SCAN_BLOCK + 10] = mutate(lines[SCAN_BLOCK + 10], "padding", 8, rng)
+        lines = [line.decode("ascii") + "\n" for line in lines]
+        want = (("MixedOrderError", "graph stream mixes orders 8 and 9"), [])
+        for strict in (True, False):
+            for scan in (scan_graph6, scan_corpus):
+                failing = self.failing(lines, SCAN_BLOCK + 20)
+                assert lines_outcome(scan, failing, mode, strict) == want, scan
 
     def test_whole_lines_read_before_the_error_are_handed_out(self):
         # pieces of text as the decoder reads them, a line across each cut;

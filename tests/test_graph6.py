@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 import warnings
 from math import comb
 
@@ -24,7 +25,8 @@ from domcount import (
     write_edge_list,
     write_graph6,
 )
-from domcount.graph6 import _CUT_BITS, canonical_reader, corpus_texts, edge_list_lines
+from domcount.graph6 import _CUT_BITS, TEXT_BLOCK, canonical_reader, corpus_texts
+from domcount.graph6 import edge_list_lines
 from domcount.graph6 import edge_list_rows, read_edges, read_vertex_count
 from domcount.graph6 import first_record, graph6_order, graph6_records
 from domcount.graphs import MAX_VERTICES
@@ -495,9 +497,10 @@ class TestCanonicalReader:
 
     @staticmethod
     def check(n, block):
-        stride = len(write_graph6(new_graph(n))) + 1
+        stride, read = canonical_reader(n)
+        assert stride == len(write_graph6(new_graph(n))) + 1
         at = [i for i, line in enumerate(block) if len(line) == stride]
-        ok, planes = canonical_reader(n)("".join([block[i] for i in at]))
+        ok, planes = read("".join([block[i] for i in at]))
         assert ok >> len(at) == 0
         assert len(planes) == (comb(n, 2) if at else 0)
         for lane, i in enumerate(at):
@@ -532,11 +535,10 @@ class TestCanonicalReader:
         """A text of lines of the record's length, back to back, reads as
         those lines, each read alone; a text of another length reads as
         none."""
-        stride = len(write_graph6(new_graph(n))) + 1
+        stride, read = canonical_reader(n)
         variants = reader_variants(n, random.Random(n)).values()
         lines = [line for line in reader_lines(variants, kind) if len(line) == stride]
         random.Random(-n).shuffle(lines)
-        read = canonical_reader(n)
         text = "".join(lines)
         ok, planes = read(text)
         for lane, line in enumerate(lines):
@@ -556,8 +558,9 @@ class TestCanonicalReader:
         if kind is bytes:
             (other,) = corpus_texts([other.encode("latin-1")])
         assert canonical_graph(other, n) is None
-        assert canonical_reader(n)(other)[0] == 0
-        assert canonical_reader(n)(record + other)[0] == 0
+        _, read = canonical_reader(n)
+        assert read(other)[0] == 0
+        assert read(record + other)[0] == 0
 
 
 class TestEdgeList:
@@ -621,6 +624,25 @@ class TestEdgeList:
     def test_missing_count(self):
         with pytest.raises(GraphParseError):
             parse_edge_list("# nothing here\n")
+
+    def test_traced_peak_does_not_grow_with_the_text(self):
+        """The text is read in blocks of whole lines.  Read whole through
+        one io.StringIO, four bytes a character, these 2 MB peaked at about
+        8 MB.  Lines are still numbered across the blocks."""
+        rng = random.Random(7)
+        edges = [tuple(rng.sample(range(64), 2)) for _ in range(10_000)]
+        text = "64\n" + "".join(f"{u} {v}  # {'-' * 190}\n" for u, v in edges)
+        assert len(text) > 30 * TEXT_BLOCK
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.rows == from_edges(64, edges).rows
+        assert peak < 2 * 2**20
+        with pytest.raises(GraphParseError, match="endpoint on line 10002$"):
+            parse_edge_list(text + "0 x\n")
 
     def test_round_trip(self):
         g = cocktail_party(8)
