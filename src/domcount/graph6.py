@@ -27,9 +27,11 @@ a bit plane, one lane per record, to check a byte rule or to read an
 edge.
 
 Both formats are read from texts of whole lines by one rule: a line ends
-at ``"\\n"`` and nowhere else, and :func:`split_lines` splits them there.
-Text read in pieces is made such texts by :func:`text_blocks`, in blocks of
-about ``TEXT_BLOCK`` characters, so no reader holds a whole file.
+at ``"\\n"`` and nowhere else, so a text is split with ``str.split`` or
+``io.StringIO`` there, never with ``str.splitlines``.  Text, read in pieces
+or given whole, is made such texts by :func:`text_blocks`, in blocks of
+about ``TEXT_BLOCK`` characters, so no reader holds a whole file or a whole
+long text.
 Line ends are made ``"\\n"`` before that: ``"\\r\\n"`` and ``"\\r"`` by the
 CLI's decoder and by :func:`parse_edge_list`, ``"\\r\\n"`` by
 :func:`corpus_texts`.  An edge list is read a line at a time
@@ -349,9 +351,13 @@ def text_blocks(pieces: Iterable[str]) -> Iterator[str]:
     rest.  A line is kept whole, however long.  A piece of whole lines read
     with no line pending is kept as it is, and the whole lines before it
     are handed out first if it would take them past ``TEXT_BLOCK``: blocks
-    pass through as they are.  A failed read is raised only after the whole
-    lines read before it have been handed out, so an error in an earlier
-    line still comes first."""
+    pass through as they are.  Pieces of up to ``TEXT_BLOCK`` characters,
+    such as the CLI's reads, make blocks shorter than ``2 * TEXT_BLOCK``
+    unless a line is longer.  A longer block is cut after the line that
+    holds each ``TEXT_BLOCK``-th character, so no block holds more than
+    ``TEXT_BLOCK`` characters and one line.  A failed read is raised only
+    after the whole lines read before it have been handed out, so an error
+    in an earlier line still comes first."""
     whole: list[str] = []  # pieces up to the last "\n" read
     part: list[str] = []  # the line read since
     size = 0
@@ -372,23 +378,19 @@ def text_blocks(pieces: Iterable[str]) -> Iterator[str]:
             if whole and size >= TEXT_BLOCK:
                 block, whole = "".join(whole), []
                 size -= len(block)
-                yield block
+                # only a long piece or a long line makes a block this long
+                step = TEXT_BLOCK if len(block) > 2 * TEXT_BLOCK else len(block)
+                start = 0
+                while start < len(block):
+                    end = block.find("\n", start + step - 1) + 1 or len(block)
+                    yield block[start:end]
+                    start = end
     except Exception:
         if whole:
             yield "".join(whole)
         raise
     if rest := "".join(whole + part):
         yield rest
-
-
-def split_lines(texts: Iterable[str]) -> Iterator[str]:
-    """The lines of texts of whole lines, split at ``"\\n"`` and nowhere
-    else, each keeping it."""
-    for text in texts:
-        if not 0 <= text.find("\n") < len(text) - 1:  # one line, or none
-            yield text
-        else:
-            yield from io.StringIO(text, newline="\n")
 
 
 def iter_graph6(lines: Iterable[str | bytes], strict: bool = True) -> Iterator[Graph]:
@@ -409,16 +411,19 @@ def edge_list_lines(
     texts: Iterable[str],
 ) -> Iterator[tuple[int, list[str], Callable[[str], int]]]:
     """(1-based line number, tokens, endpoint reader) of each line of an
-    edge list's texts of whole lines (:func:`split_lines`) that is not
-    blank or a comment, numbered across the texts, each made as it is
-    read.  The endpoint reader takes what :func:`_integer` takes."""
+    edge list's texts of whole lines that is not blank or a comment,
+    numbered across the texts, each made as it is read.  Each text is split
+    at ``"\\n"`` only, by an ``io.StringIO`` of its own (four bytes a
+    character) that goes before the next text is read.  The endpoint reader
+    takes what :func:`_integer` takes."""
     line_number = 0
     for text in texts:
         # int also takes "+", "_" and non-ASCII digits; where the text holds
         # none of them, even in a comment, it takes what _integer takes, faster
         plain = text.isascii() and "+" not in text and "_" not in text
         number = int if plain else _integer
-        for line_number, line in enumerate(split_lines((text,)), line_number + 1):
+        first = line_number + 1
+        for line_number, line in enumerate(io.StringIO(text, newline="\n"), first):
             if tokens := line.split("#", 1)[0].split():
                 yield line_number, tokens, number
 
@@ -475,12 +480,12 @@ def parse_edge_list(text: str) -> Graph:
 
     ``#`` starts a comment; blank lines are skipped; duplicate edges are
     ignored.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``.  Errors carry
-    1-based line numbers.  The text is read in blocks of whole lines
-    (:func:`text_blocks`), as the CLI reads a file.
+    1-based line numbers.  :func:`text_blocks` cuts the text into blocks of
+    whole lines of about ``TEXT_BLOCK`` characters, which are read one at a
+    time, as the CLI reads a file.
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    pieces = (text[i : i + TEXT_BLOCK] for i in range(0, len(text), TEXT_BLOCK))
-    lines = edge_list_lines(text_blocks(pieces))
+    lines = edge_list_lines(text_blocks([text]))
     return read_edges(read_vertex_count(lines), lines)
 
 

@@ -28,12 +28,13 @@ give identical records on identical inputs:
   ``str`` with ``"\\n"`` line ends once, as it is read
   (``graph6.corpus_texts``), and taken in blocks of whole lines of about
   ``TEXT_BLOCK`` characters (``graph6.text_blocks``), as the CLI reads a
-  file.  A block that is a run of canonical records of the corpus order is
-  read straight from its bytes by ``graph6.canonical_reader`` and goes
-  through the kernel whole, with no ``str`` per line.  Any other block is
-  split into lines once, which go in groups of ``SCAN_BLOCK`` through the
-  same reader, and any line it does not take goes through
-  ``parse_graph6``, in file order.
+  file; one long text is cut into such blocks.  A block that is a run of
+  canonical records of the corpus order is read straight from its bytes
+  by ``graph6.canonical_reader`` and goes through the kernel whole, with
+  no ``str`` per line.  Any other block is split into lines once: its
+  lines of a canonical record's length go through the same reader in one
+  call, and every line it does not take goes through ``parse_graph6``, in
+  file order, and on to the kernel in blocks of ``SCAN_BLOCK`` graphs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .domination import COUNT_VERTEX_CAP, Mode, check_countable, check_mode
 from .errors import GraphParseError, InfeasibleOrderError, MixedOrderError
 from .errors import SizeLimitError
 from .graph6 import _BIT, _plane, canonical_reader, corpus_texts, first_record
-from .graph6 import graph6_bits, graph6_order, iter_graph6, split_lines, text_blocks
+from .graph6 import graph6_bits, graph6_order, iter_graph6, text_blocks
 from .graph6 import write_graph6
 from .graphs import Frozen, Graph, VertexSet, check_order, from_edges
 from .graphs import select_bits
@@ -70,10 +71,14 @@ ENUMERATION_MAX_N = 7
 #   2^21       29.4 / 31.7 ms   33.8-37.1 MB (all of order 7 in one block)
 CHUNK_BITS = 16
 
-# Graphs, or lines of a corpus text block that is not a run of canonical
-# records, per kernel call.  Chosen when every corpus line went through
-# groups of this size, against 256 to 8192 lines: past 1024 each doubling
-# saved at most 1 ms of 7 and added peak RSS.
+# Parsed graphs per kernel call: the graphs of an `extremal_scan` stream,
+# and the lines of a corpus text block that the canonical reader did not
+# take.  Chosen, against 256 to 8192, when every line of a canonical corpus
+# went through groups of this size (`scan --corpus` on the benchmark's
+# 25 000 order-8 records, fresh processes on a 2-vCPU x86 VM): past 1024
+# each doubling saved at most 1 ms of 7 and added peak RSS.  Canonical
+# records now reach the kernel a text block at a time, so neither path
+# that reads this value was part of that measurement.
 SCAN_BLOCK = 1024
 
 
@@ -304,6 +309,13 @@ class PairMaximum:
         self.add_run(planes, (1 << len(block)) - 1, [0])
         return len(block)
 
+    def add_stream(self, graphs: Iterable[Graph]) -> None:
+        """Take graphs of the stream, in stream order, in blocks of
+        ``SCAN_BLOCK`` (:meth:`add_graphs`)."""
+        graphs = iter(graphs)
+        while self.add_graphs(islice(graphs, SCAN_BLOCK)) == SCAN_BLOCK:
+            pass
+
     def read_order(self, record: str, strict: bool) -> None:
         """Take the stream's order from its first graph6 record, and the
         reader of canonical records of that order.  An order past the
@@ -321,27 +333,27 @@ class PairMaximum:
 
         A run of canonical records of the stream's order, read by its
         ``canonical_reader``, goes through the kernel whole.  Any other text
-        is split into lines once, taken in groups of ``SCAN_BLOCK``: the
-        lines of a canonical line's length are joined into one text for the
-        reader, and the canonical records among them go through the kernel
-        as one block, with a witness written from their edge planes.  Every
-        other line is parsed by ``parse_graph6`` in file order; canonical
-        records never raise, so errors and warnings come out in file order.
+        is split into lines once, at ``"\\n"`` only, and read in one pass:
+        its lines of a canonical line's length go through the reader in one
+        call, each in its place, with spaces in place of every other line,
+        and the canonical records among them go through the kernel as one
+        block, with a witness written from their edge planes.  Every other
+        line is parsed by ``parse_graph6`` in file order, and the graphs go
+        to :meth:`add_stream`; canonical records never raise, so errors and
+        warnings come out in file order.
         """
         ok, planes = self._read(text)
-        if ok and ok == (1 << len(text) // self._stride) - 1:
+        if not ok or ok != (1 << len(text) // self._stride) - 1:
+            lines = text.split("\n")
+            fill = " " * (self._stride - 1)  # in place of a line of another length
+            ok, planes = self._read(
+                "\n".join([line if len(line) == len(fill) else fill for line in lines])
+                + "\n"
+            )
+            rest = select_bits(((1 << len(lines)) - 1) ^ ok, lines)
+            self.add_stream(iter_graph6(rest, strict))
+        if ok:
             self.add_run(planes, ok, [0])
-            return
-        lines = split_lines([text])
-        while block := list(islice(lines, SCAN_BLOCK)):
-            at = [i for i, line in enumerate(block) if len(line) == self._stride]
-            ok, planes = self._read("".join([block[i] for i in at]))
-            if ok != (1 << len(block)) - 1:
-                canonical = set(select_bits(ok, at))
-                rest = (line for i, line in enumerate(block) if i not in canonical)
-                self.add_graphs(iter_graph6(rest, strict))
-            if ok:
-                self.add_run(planes, ok, [0])
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -394,9 +406,7 @@ def extremal_scan(graphs: Iterable[Graph], mode: Mode) -> ExtremalRecord:
     graph is checked as it is read.
     """
     best = PairMaximum(mode)
-    graphs = iter(graphs)
-    while best.add_graphs(islice(graphs, SCAN_BLOCK)) == SCAN_BLOCK:
-        pass
+    best.add_stream(graphs)
     if best.n is None:
         raise ValueError("graph stream is empty")
     return _record(best)

@@ -38,7 +38,13 @@ The invocations:
 * ``scan --corpus`` over 3000 order-8 records, each behind a
   ``>>graph6<<`` header, with a padded record at line 1501 and a truncated
   one at line 2501: one 64 KiB text block of lines that are not canonical
-  records, read in groups of ``SCAN_BLOCK`` lines;
+  records, every one of them parsed;
+* ``scan --corpus`` over 25 000 order-8 records with a blank line, a line
+  with a trailing space, a ``>>graph6<<`` record and a padded record in
+  each of the second and third 64 KiB text blocks, a few lines apart and
+  thousands apart, and over the same corpus with an order-9 record near
+  its end: each block's canonical records are read together, past the
+  lines that are not;
 * ``gamma --in`` and ``count --in`` (graph6 and edge lists) and ``scan
   --corpus`` over files whose lines are separated, or ended, by one of
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
@@ -331,6 +337,15 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
     framed = records(8, 3000)
     framed[1500] = framed[1500][:-1] + bytes([(framed[1500][-1] - 63 | 1) + 63])
     framed[2500] = framed[2500][:-1]
+    # the odd lines at 1023, 1024, 2049 and 5000 lines into the second and
+    # third text blocks of about 9362 lines
+    scattered = records(8, 25_000)
+    for at in (65536 // 7, 2 * 65536 // 7):
+        scattered[at + 1023] = b""
+        scattered[at + 1024] += b" "
+        scattered[at + 2049] = header + scattered[at + 2049]
+        last = scattered[at + 5000][-1]
+        scattered[at + 5000] = scattered[at + 5000][:-1] + bytes([(last - 63 | 1) + 63])
     return {
         "header.g6": (8, lines([header + g8[0], *g8[1:5], header + g8[5]])),
         "header_line.g6": (8, lines([header, *g8[:5]])),
@@ -353,6 +368,8 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         "tie_repeat.g6": (8, lines(repeat)),
         "tie_descending.g6": (8, lines(records(8, 1000) + ties)),
         "header_block.g6": (8, lines([header + record for record in framed])),
+        "scattered.g6": (8, lines(scattered)),
+        "scattered_order9.g6": (8, lines([*scattered[:-20], g9[0], *scattered[-20:]])),
     }
 
 

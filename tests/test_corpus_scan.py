@@ -98,6 +98,25 @@ def parsed_blocks(monkeypatch):
     return parsed
 
 
+def canonical_reads(monkeypatch):
+    """The list to which every text the corpus order's canonical reader
+    reads is appended from now on."""
+    reads = []
+    reader = scanning.canonical_reader
+
+    def spy(n):
+        stride, read = reader(n)
+
+        def counted(text):
+            reads.append(text)
+            return read(text)
+
+        return stride, counted
+
+    monkeypatch.setattr(scanning, "canonical_reader", spy)
+    return reads
+
+
 def random_record(rng, n, density=None):
     density = rng.choice([0.5, 0.7, 0.85, 1.0]) if density is None else density
     edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
@@ -470,6 +489,14 @@ class TestLineTypes:
                 assert lines_outcome(scan_corpus, texts_of_kind, mode, strict) == want
         error = "nonzero padding" if strict else "truncated" if malformed else "byte 13"
         assert want[0][1].startswith(error) and len(want[1]) == (not strict)
+        # str.splitlines would end a line at "\x85" and "\u2028" too: here
+        # the line is one non-ASCII record, the first error in every case
+        as_str = [line.decode("ascii") for line in lines]
+        as_str[1000] = "C~\x85C~\u2028\n"
+        odd = lines_outcome(scan_graph6, as_str, mode, strict)
+        texts = ["".join(as_str[:2400]), "".join(as_str[2400:])]
+        assert lines_outcome(scan_corpus, texts, mode, strict) == odd
+        assert odd[0][1].startswith("non-ASCII graph6 record")
         # texts no longer than a canonical line may hold two lines each
         texts = [b"".join(lines[:5]), b"\n\n", b"??\n??\n"]
         want = lines_outcome(scan_graph6, [*lines[:5], b"\n", b"\n", b"??\n"], mode, strict)
@@ -509,22 +536,11 @@ class TestLineTypes:
         no record is parsed."""
         rng = random.Random(23)
         lines = [random_record(rng, 8, 5 / 8) + b"\n" for _ in range(25_000)]
-        read_lengths = []
-        reader = scanning.canonical_reader
-
-        def spy(n):
-            stride, read = reader(n)
-
-            def counted(text):
-                read_lengths.append(len(text))
-                return read(text)
-
-            return stride, counted
-
-        monkeypatch.setattr(scanning, "canonical_reader", spy)
+        reads = canonical_reads(monkeypatch)
         parsed = parsed_blocks(monkeypatch)
         texts = lines if kind is bytes else [line.decode("ascii") for line in lines]
         record = scan_corpus(texts, "dominating")
+        read_lengths = [len(text) for text in reads]
         size = sum(map(len, lines))
         assert read_lengths and max(read_lengths) <= TEXT_BLOCK
         assert len(read_lengths) == -(-size // TEXT_BLOCK) and sum(read_lengths) == size
@@ -568,6 +584,64 @@ class TestLineTypes:
         outcome = lines_outcome(scan_corpus, lines, mode, True)
         assert outcome == lines_outcome(oracle_scan_corpus, lines, mode, True)
         assert outcome[0][0] == "GraphParseError" and "non-ASCII" in outcome[0][1]
+
+
+class TestBoundedBlocks:
+    """Every text block holds about ``TEXT_BLOCK`` characters of whole
+    lines, however long the texts, and a block that is not a run of
+    canonical records is read in one pass."""
+
+    def test_one_large_text_is_read_in_bounded_blocks(self):
+        """One text of 300 000 order-8 records (2.1 MB) was one block, with
+        a traced peak of 7.4 MB, and 10.2 MB with a blank line at its end,
+        which sent all of it to the lines."""
+        rng = random.Random(41)
+        pool = [random_record(rng, 8, 5 / 8).decode("ascii") for _ in range(2000)]
+        lines = [record + "\n" for record in rng.choices(pool, k=300_000)]
+        text = "".join(lines)
+        blocks = list(text_blocks([text]))
+        assert "".join(blocks) == text and len(blocks) > 30
+        assert max(map(len, blocks)) <= TEXT_BLOCK + len(lines[0])
+        want = scan_corpus(lines, "dominating")
+        assert want.graphs_scanned == len(lines)
+        for texts in ([text], [text + "\n"]):
+            tracemalloc.start()
+            try:
+                record = scan_corpus(texts, "dominating")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert record == want and peak <= 3 * 2**20
+
+    def test_one_canonical_read_per_mixed_block(self, monkeypatch):
+        """A block with a few lines that are not canonical records is read
+        twice, whole and then as its lines of a canonical record's length,
+        and those few lines are parsed in one block of graphs, where each
+        group of SCAN_BLOCK lines was read on its own."""
+        rng = random.Random(43)
+        lines = [random_record(rng, 8, 5 / 8) + b"\n" for _ in range(9000)]
+        lines[1023] = b"\n"
+        lines[1024] = lines[1024][:-1] + b" \n"
+        lines[2049] = b">>graph6<<" + lines[2049]
+        lines[5000] = mutate(lines[5000][:-1], "padding", 8, rng) + b"\n"
+        text = b"".join(lines).decode("ascii")
+        assert len(text) < TEXT_BLOCK
+        reads = canonical_reads(monkeypatch)
+        parsed = parsed_blocks(monkeypatch)
+        outcome = lines_outcome(scan_corpus, [text], "dominating", False)
+        monkeypatch.undo()
+        assert outcome == lines_outcome(oracle_scan_corpus, [text], "dominating", False)
+        assert outcome[1] == ["nonzero padding bits in graph6 record"]
+        assert len(reads) == 2 and reads[0] == text
+        canonical_length = [line[:-1] for line in lines if len(line) == len(lines[0])]
+        assert [line for line in reads[1].split("\n") if line.strip()] == [
+            line.decode("ascii") for line in canonical_length
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            odd = [parse_graph6(lines[i].strip(), strict=False) for i in (1024, 2049)]
+            odd.append(parse_graph6(lines[5000], strict=False))
+        assert parsed == [odd]
 
 
 class TestFailedRead:

@@ -609,7 +609,9 @@ class TestEdgeList:
                 parse_edge_list(text)
             assert str(info.value) == message, text
 
-    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize(
+        "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+    )
     def test_only_newlines_end_a_line(self, separator):
         with pytest.raises(GraphParseError) as info:
             parse_edge_list(f"4{separator}0 1\n1 2\n2 3\n")
