@@ -116,10 +116,11 @@ def _load_graph(args: argparse.Namespace, counting: bool = False) -> Graph:
     """The --in graph, read in blocks of whole lines: an edge list line by
     line, its count line first (with ``counting``, an order past the
     counting cap is refused there, before any edge is read), and a graph6
-    input up to its first record.  Whatever ends the reading, the rest of
-    the input is then decoded, not kept, in a ``finally``, so a byte the
-    decoder rejects is the error, wherever it is; a graph6 record is
-    parsed only after that, so no ``--lenient`` warning comes before it."""
+    input up to its first record's text block.  Whatever ends the reading,
+    the rest of the input is then decoded, not kept, in a ``finally``, so a
+    byte the decoder rejects is the error, wherever it is; a graph6 record
+    is parsed only after that, so no ``--lenient`` warning comes before
+    it."""
     with _open_text(args.infile) as pieces:
         blocks = text_blocks(pieces)
         try:
@@ -221,7 +222,7 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
     if args.corpus:
         with _open_text(args.corpus) as pieces:
             # the first record: --n must match its order and the counting cap
-            # admit it; the scan reads it, and the rest of its block, next
+            # admit it; the scan takes its block from it on, then the others
             blocks = text_blocks(pieces)
             head = first_record(blocks)
             order = graph6_order(head[0]) if head else None
@@ -231,7 +232,7 @@ def _cmd_scan(args: argparse.Namespace) -> dict[str, Any]:
                         f"corpus has order {order}, --n {args.n} was requested"
                     )
                 check_countable(order)
-            record = scan_corpus(chain(head, blocks), mode, strict=not args.lenient)
+            record = scan_corpus(chain(head[1:], blocks), mode, strict=not args.lenient)
     else:
         if args.n is None:
             raise InfeasibleOrderError("scan needs --n or --corpus")

@@ -317,15 +317,18 @@ def _corpus_text(text: str | bytes) -> str:
     return text if text[-1:] == "\n" or not text else text + "\n"
 
 
-def first_record(texts: Iterable[str]) -> tuple[str, ...]:
-    """The first graph6 record in texts of whole lines, as
-    :func:`graph6_records` strips it, plus ``"\\n"``, and the text after
-    its line in its text; the texts are read up to the one that holds it.
-    Empty when there is no record."""
-    for text in texts:
-        if head := text.lstrip(_BLANK):
-            line, _, rest = head.partition("\n")
-            return line.rstrip(_BLANK) + "\n", rest
+def first_record(blocks: Iterable[str]) -> tuple[str, ...]:
+    """The first graph6 record in blocks of whole lines, as
+    :func:`graph6_records` strips it, and its block from that record on;
+    the blocks are read up to the one that holds it.  Where only its
+    ``"\\n"`` would be stripped, the record is handed back as its line,
+    ``"\\n"`` and all, which a record's parse strips, so a block that is
+    one long record's line is not copied.  Empty when there is no record."""
+    for block in blocks:
+        if block := block.lstrip(_BLANK):
+            line = block[: block.find("\n") + 1 or None]
+            record = line.rstrip(_BLANK)
+            return (line if line[len(record) :] == "\n" else record), block
     return ()
 
 

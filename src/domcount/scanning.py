@@ -427,24 +427,25 @@ def scan_corpus(
     (``graph6.corpus_texts``), so every form takes the same path.  One
     text on its own, not in a list, is refused with :class:`TypeError`.
 
-    The texts are read up to the first record, whose size field sets the
-    order: :class:`SizeLimitError` past the counting cap, after that
-    record's own error or warning and before anything after it is read.
-    The texts are then taken in blocks of whole lines of about
-    ``TEXT_BLOCK`` characters (``graph6.text_blocks``).  A block that is a
-    run of canonical records of that order is read straight from its bytes
-    into edge planes, and the witness is written from those planes; any
-    other block is split into lines, and any line that is not a canonical
-    record goes through :func:`parse_graph6`, in file order.  Raises
-    :class:`GraphParseError` when the corpus holds no record.
+    The texts are taken in blocks of whole lines of about ``TEXT_BLOCK``
+    characters (``graph6.text_blocks``), read up to the block that holds
+    the first record, whose size field sets the order:
+    :class:`SizeLimitError` past the counting cap, after that record's own
+    error or warning and before anything past its block is read.  That
+    block is scanned whole from the record on, then the others.  A block
+    that is a run of canonical records of that order is read straight from
+    its bytes into edge planes, and the witness is written from those
+    planes; any other block is split into lines, and any line that is not
+    a canonical record goes through :func:`parse_graph6`, in file order.
+    Raises :class:`GraphParseError` when the corpus holds no record.
     """
     best = PairMaximum(mode)
-    texts = corpus_texts(texts)
-    head = first_record(texts)
+    blocks = text_blocks(corpus_texts(texts))
+    head = first_record(blocks)
     if not head:
         raise GraphParseError("no graph6 record found in corpus")
     best.read_order(head[0], strict)
-    for block in text_blocks(chain(head, texts)):
+    for block in chain(head[1:], blocks):
         best.add_text(block, strict)
     return _record(best)
 

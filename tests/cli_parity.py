@@ -45,6 +45,10 @@ The invocations:
   thousands apart, and over the same corpus with an order-9 record near
   its end: each block's canonical records are read together, past the
   lines that are not;
+* ``scan --corpus`` over a first record whose line is led by ``" \\t"``
+  and ended by ``" \\x1c"``, then 25 000 canonical order-8 records, with
+  that record canonical, padded (``--lenient`` warns once) and K_65: the
+  scan takes the first record's text block whole, blanks and all;
 * ``gamma --in`` and ``count --in`` (graph6 and edge lists) and ``scan
   --corpus`` over files whose lines are separated, or ended, by one of
   ``SEPARATORS`` -- line ends (``\\r``, ``\\r\\n``) and characters that are
@@ -346,6 +350,10 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         scattered[at + 2049] = header + scattered[at + 2049]
         last = scattered[at + 5000][-1]
         scattered[at + 5000] = scattered[at + 5000][:-1] + bytes([(last - 63 | 1) + 63])
+    # blanks on both sides of the first record's line, before a 64 KiB text
+    # block and more of canonical records
+    around = records(8, 25_000)
+    padded_first = around[0][:-1] + bytes([(around[0][-1] - 63 | 1) + 63])
     return {
         "header.g6": (8, lines([header + g8[0], *g8[1:5], header + g8[5]])),
         "header_line.g6": (8, lines([header, *g8[:5]])),
@@ -370,6 +378,13 @@ def edge_corpora(rng: random.Random) -> dict[str, tuple[int, bytes]]:
         "header_block.g6": (8, lines([header + record for record in framed])),
         "scattered.g6": (8, lines(scattered)),
         "scattered_order9.g6": (8, lines([*scattered[:-20], g9[0], *scattered[-20:]])),
+        "blank_around.g6": (8, b" \t" + around[0] + b" \x1c\n" + lines(around[1:])),
+        "blank_around_padded.g6": (
+            8, b" \t" + padded_first + b" \x1c\n" + lines(around[1:])
+        ),
+        "blank_around_order65.g6": (
+            65, b" \t" + complete65 + b" \x1c\n" + lines(around[1:])
+        ),
     }
 
 

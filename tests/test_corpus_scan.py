@@ -80,7 +80,7 @@ def assert_stdin_matches_oracle(monkeypatch, path):
 
 def cli_text_blocks(data):
     """The text blocks the CLI hands the scan for a corpus file's bytes
-    (its first record's line aside)."""
+    (the first record's block from that record on)."""
     return list(text_blocks(_decoded(io.BytesIO(data))))
 
 
@@ -240,16 +240,36 @@ class TestAgainstOracle:
         _, _, err = cli_outcome(["scan", "--corpus", str(path)])
         assert ("ascii" in err) == (gap * len(lines[0]) < 8192)
 
-    @pytest.mark.parametrize("kind", ["canonical", "header"])
-    def test_first_record_after_the_first_block(self, tmp_path, kind):
-        # the stream's order is read from a record past the first block
+    @pytest.mark.parametrize(
+        "kind, head",
+        [
+            pytest.param(kind, head, id=kind + name)
+            for name, head in [
+                ("", b"\n" * (SCAN_BLOCK + 5)),
+                ("-past-a-text-block", b" \n\t\n" * (TEXT_BLOCK // 2 + 5)),
+            ]
+            for kind in ["canonical", "header"]
+        ],
+    )
+    def test_first_record_after_the_first_block(self, tmp_path, kind, head):
+        # the stream's order is read from a record after SCAN_BLOCK blank
+        # lines, and from one past the first text block, which is blank
+        # also when the corpus is one text, cut only past 2 * TEXT_BLOCK
         rng = random.Random(53)
         lines = [random_record(rng, 8, 5 / 8) for _ in range(50)]
         if kind == "header":
             lines[0] = mutate(lines[0], kind, 8, rng)
+        data = head + b"\n".join(lines) + b"\n"
+        first = next(text_blocks([data.decode("ascii")]))
+        assert (first.strip() == "") == (len(head) > 2 * TEXT_BLOCK)
         path = tmp_path / "corpus.g6"
-        path.write_bytes(b"\n" * (SCAN_BLOCK + 5) + b"\n".join(lines) + b"\n")
+        path.write_bytes(data)
         assert_matches_oracle(path)
+        for mode in ("dominating", "total"):
+            for texts in (io.BytesIO(data).readlines(), [data]):
+                outcome = lines_outcome(scan_corpus, texts, mode, True)
+                assert outcome == lines_outcome(oracle_scan_corpus, texts, mode, True)
+                assert outcome[0].graphs_scanned == len(lines)
 
     def test_blank_corpus_past_one_block(self, tmp_path):
         path = tmp_path / "corpus.g6"
@@ -261,10 +281,9 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("head", [b"", b"\n  \n\t\n"])
     def test_canonical_corpus_is_never_parsed(self, tmp_path, monkeypatch, head):
-        # the first record reaches the scan with a line end, and no blank
-        # line before it does, so no block of a canonical corpus leaves the
-        # canonical path: not the first text block, which the CLI reads
-        # past the first record, and not the others
+        # the scan takes the first record's text block from that record
+        # on, with no blank line before it, so no block of a canonical
+        # corpus leaves the canonical path
         rng = random.Random(17)
         lines = [random_record(rng, 8, 5 / 8) for _ in range(3 * TEXT_BLOCK // 7 + 30)]
         path = tmp_path / "corpus.g6"
@@ -591,10 +610,13 @@ class TestBoundedBlocks:
     lines, however long the texts, and a block that is not a run of
     canonical records is read in one pass."""
 
-    def test_one_large_text_is_read_in_bounded_blocks(self):
+    def test_one_large_text_is_read_in_bounded_blocks(self, monkeypatch):
         """One text of 300 000 order-8 records (2.1 MB) was one block, with
         a traced peak of 7.4 MB, and 10.2 MB with a blank line at its end,
-        which sent all of it to the lines."""
+        which sent all of it to the lines.  Its first record's line was
+        then read on its own and the rest of the text copied, 2.35 MB, and
+        4.20 MB with a blank line at its start, which was copied too: the
+        text is now read as exactly its text blocks."""
         rng = random.Random(41)
         pool = [random_record(rng, 8, 5 / 8).decode("ascii") for _ in range(2000)]
         lines = [record + "\n" for record in rng.choices(pool, k=300_000)]
@@ -604,14 +626,17 @@ class TestBoundedBlocks:
         assert max(map(len, blocks)) <= TEXT_BLOCK + len(lines[0])
         want = scan_corpus(lines, "dominating")
         assert want.graphs_scanned == len(lines)
-        for texts in ([text], [text + "\n"]):
+        for texts in ([text], ["\n" + text], [text + "\n"]):
             tracemalloc.start()
             try:
                 record = scan_corpus(texts, "dominating")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert record == want and peak <= 3 * 2**20
+            assert record == want and peak <= 2**20
+        reads = canonical_reads(monkeypatch)
+        assert scan_corpus([text], "dominating") == want
+        assert reads == blocks
 
     def test_one_canonical_read_per_mixed_block(self, monkeypatch):
         """A block with a few lines that are not canonical records is read
@@ -775,6 +800,21 @@ class TestOrderChecks:
         finally:
             tracemalloc.stop()
         assert read == 1 and peak < 2 * 2**20
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_first_record_past_the_cap_is_refused_after_a_short_read(self, kind):
+        """The API reads up to the first record's text block before it
+        refuses the order.  A read that fails after one short record line
+        ends that block: the line is handed out before the failed read is
+        raised, so the order is refused first, with the same message."""
+        line = K65 if kind is bytes else K65.decode("ascii")
+        with pytest.raises(SizeLimitError) as whole:
+            scan_corpus([line], "dominating")
+        with pytest.raises(SizeLimitError) as short:
+            scan_corpus(TestFailedRead.failing([line], 1), "dominating")
+        assert str(short.value) == str(whole.value) == (
+            "counting supports n <= 64, got n=65"
+        )
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize(

@@ -419,15 +419,24 @@ class TestIterGraph6:
             list(iter_graph6([line("C~\xa0")]))
 
     def test_first_record_of_texts(self):
-        """The first record of texts of whole lines, stripped as
-        graph6_records strips it, with a "\\n", and the text after its
-        line; the texts after the one that holds it are left unread."""
+        """The first record of blocks of whole lines, stripped as
+        graph6_records strips it, and its block from that record on; the
+        blocks after the one that holds it are left unread.  Where only
+        its "\\n" would be stripped, the record is its line, with the
+        "\\n", which a record's parse strips: a one-line block is handed
+        back as it is, not copied."""
         blank = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
-        texts = iter(["", "\n \n", blank + "C~\x1c \r\nC]\n\n", "C?\n"])
-        assert first_record(texts) == ("C~\n", "C]\n\n")
-        assert list(texts) == ["C?\n"]
-        assert first_record(["\n", " C~"]) == ("C~\n", "")
+        blocks = iter(["", "\n \n", blank + "C~\x1c \r\nC]\n\n", "C?\n"])
+        assert first_record(blocks) == ("C~", "C~\x1c \r\nC]\n\n")
+        assert list(blocks) == ["C?\n"]
+        assert first_record(["\n", " C~ "]) == ("C~", "C~ ")
+        assert first_record(["\n", " C~"]) == ("C~", "C~")
+        assert first_record(["\nC~\nC]\n"]) == ("C~\n", "C~\nC]\n")
         assert first_record(["\n", blank]) == ()
+        block = "".join(["C~", "\n"])  # a string of its own, as read
+        record, rest = first_record([block])
+        assert record is block and rest is block
+        assert parse_graph6(record) == parse_graph6("C~")
 
 
 def reader_variants(n: int, rng: random.Random) -> dict[str, bytes]:
