@@ -44,9 +44,9 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graph6 import edge_list_lines, edge_list_rows, first_record, graph6_order
-from .graph6 import parse_graph6, read_edges, read_vertex_count, text_blocks
-from .graph6 import write_graph6
+from .graph6 import edge_list_lines, edge_list_rows, first_record, graph6_cuts
+from .graph6 import graph6_order, parse_graph6, read_edges, read_vertex_count
+from .graph6 import text_blocks, write_graph6
 from .graphs import Graph
 from .partitions import optimize_allocation
 from .scanning import scan_corpus, scan_labeled
@@ -180,7 +180,7 @@ def _cmd_construct(args: argparse.Namespace) -> dict[str, Any]:
     if args.out:
         with open(args.out, "w", encoding="ascii") as handle:
             if args.format == "g6":
-                handle.write(write_graph6(graph))
+                handle.writelines(graph6_cuts(graph))
                 handle.write("\n")
             else:
                 handle.writelines(edge_list_rows(graph))

@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitError,
     UndefinedTotalDominationError,
 )
-from .graphs import Frozen, Graph, VertexSet, select_bits
+from .graphs import REVERSED, Frozen, Graph, VertexSet, select_bits
 
 Mode = Literal["dominating", "total"]
 
@@ -114,7 +114,7 @@ def _lex_key(mask: int) -> int:
     of one size, lexicographic order is descending key order: the set that
     holds the lowest vertex of a symmetric difference has the larger key.
     The key of a key is the mask."""
-    return int(format(mask, "064b")[::-1], 2)
+    return int.from_bytes(mask.to_bytes(8, "little").translate(REVERSED), "big")
 
 
 def _walk(

@@ -11,13 +11,18 @@ a warning.
 The codec works on whole words, not single bits.  A data byte is 63 plus a
 6-bit value, and base64 spells the same 6-bit values with its own 64-letter
 alphabet, so one ``bytes.translate`` maps between the two and ``binascii``
-converts the body to and from big integers.  The writer formats column j
-of the bit stream as the low j bits of ``rows[j]``, reversed, and converts
-the joined columns every 64 Ki bits or so, in cuts of whole base64 quads
-(24 bits), so the C(n, 2)-bit stream is never one string.  The parser reads
-the body as one integer and lays its columns out as the lower triangle of
-a row-major n x n character matrix; row v is then its own slice of row v
-plus the strided slice down column v, so C does the transpose.
+converts the body to and from big integers.  The writer holds the bit
+stream as one integer, first bit lowest: column j is the low j bits of
+``rows[j]``, shifted past the columns before it.  Every 64 Ki bits or so it
+converts a cut of whole base64 quads (24 bits): the cut's little-endian
+bytes, each with its bits reversed by one ``bytes.translate``, are the
+stream in order.  So no bit is a character, and the integer never holds
+much more than a cut.  :func:`graph6_cuts` yields the record a cut at a
+time, so a file can be written a cut at a time; :func:`write_graph6` joins
+them.  The parser reads the body as one integer and lays its columns out as
+the lower triangle of a row-major n x n character matrix; row v is then its
+own slice of row v plus the strided slice down column v, so C does the
+transpose.
 
 A scan reads canonical records many at once (:func:`canonical_reader`),
 from one text of records back to back, in the one form
@@ -55,7 +60,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import GraphParseError, SizeLimitError
-from .graphs import MAX_VERTICES, Graph, select_bits
+from .graphs import MAX_VERTICES, REVERSED, Graph, select_bits
 
 HEADER = b">>graph6<<"
 
@@ -184,36 +189,42 @@ def _size_field(n: int) -> bytes:
     return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
 
 
-# write_graph6 converts the formatted columns to data bytes once they hold
-# this many bits, up to the last whole base64 quad; a record of fewer bits
-# is converted once, at the end.
+# graph6_cuts converts the stream to data bytes once it holds this many
+# bits, up to the last whole base64 quad; a record of fewer bits is
+# converted once, at the end.
 _CUT_BITS = 1 << 16
 
 
-def _data_bytes(bits: str) -> bytes:
-    """graph6 data bytes of binary digits, a multiple of 24 long."""
-    words = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+def _data_bytes(bits: int, width: int) -> bytes:
+    """graph6 data bytes of a stream of ``width`` bits held first bit
+    lowest, zero-padded to whole base64 quads.  Its little-endian bytes,
+    each with its bits reversed, are the stream read from its first bit."""
+    words = bits.to_bytes(-(-width // 24) * 3, "little").translate(REVERSED)
     return binascii.b2a_base64(words, newline=False).translate(_TO_GRAPH6)
+
+
+def graph6_cuts(g: Graph) -> Iterator[str]:
+    """The text of :func:`write_graph6` a cut at a time: the size field,
+    then the data bytes of each cut of about ``_CUT_BITS`` bits (whole
+    base64 quads), then those of the rest, each text made as it is read."""
+    yield _size_field(g.n).decode("ascii")
+    bits = width = 0  # the stream since the last cut, its first bit lowest
+    for j, row in enumerate(g.rows):
+        # Column j is the low j bits of rows[j], vertex 0 first.
+        bits |= (row & ((1 << j) - 1)) << width
+        width += j
+        if width >= _CUT_BITS:
+            cut = width - width % 24
+            yield _data_bytes(bits & ((1 << cut) - 1), cut).decode("ascii")
+            bits >>= cut
+            width -= cut
+    # padded to whole quads, so no "=", then cut to the bytes that hold bits
+    yield _data_bytes(bits, width)[: (width + 5) // 6].decode("ascii")
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 record (no header, no newline) for ``g``."""
-    n = g.n
-    record = [_size_field(n)]
-    columns, size = [], 0  # the stream's binary digits since the last cut
-    for j in range(1, n):
-        # Column j is the low j bits of rows[j], vertex 0 first.
-        columns.append(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1])
-        size += j
-        if size >= _CUT_BITS:
-            bits = "".join(columns)
-            size %= 24
-            columns = [bits[len(bits) - size :]]
-            record.append(_data_bytes(bits[: len(bits) - size]))
-    bits = "".join(columns)
-    # padded to whole quads, so no "=", then cut to the bytes that hold bits
-    record.append(_data_bytes(bits + "0" * (-len(bits) % 24))[: (len(bits) + 5) // 6])
-    return b"".join(record).decode("ascii")
+    return "".join(graph6_cuts(g))
 
 
 # Per bit t of a byte: b"1" where the byte has bit t set, else b"0" (runs

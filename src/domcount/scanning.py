@@ -334,8 +334,8 @@ class PairMaximum:
         A run of canonical records of the stream's order, read by its
         ``canonical_reader``, goes through the kernel whole.  Any other text
         is split into lines once, at ``"\\n"`` only, and read in one pass:
-        its lines of a canonical line's length go through the reader in one
-        call, each in its place, with spaces in place of every other line,
+        its ASCII lines of a canonical line's length go through the reader in
+        one call, each in its place, with spaces in place of every other line,
         and the canonical records among them go through the kernel as one
         block, with a witness written from their edge planes.  Every other
         line is parsed by ``parse_graph6`` in file order, and the graphs go
@@ -345,11 +345,10 @@ class PairMaximum:
         ok, planes = self._read(text)
         if not ok or ok != (1 << len(text) // self._stride) - 1:
             lines = text.split("\n")
-            fill = " " * (self._stride - 1)  # in place of a line of another length
-            ok, planes = self._read(
-                "\n".join([line if len(line) == len(fill) else fill for line in lines])
-                + "\n"
-            )
+            fill = " " * (self._stride - 1)  # in place of every other line
+            shaped = [line if len(line) == len(fill) and line.isascii() else fill
+                      for line in lines]
+            ok, planes = self._read("\n".join(shaped) + "\n")
             rest = select_bits(((1 << len(lines)) - 1) ^ ok, lines)
             self.add_stream(iter_graph6(rest, strict))
         if ok:

@@ -344,20 +344,22 @@ class TestLargeGraphFiles:
     --in`` refuses one, without holding the file's text."""
 
     @pytest.mark.parametrize(
-        "gamma, flags",
-        [(7, ["--format", "edges"]), (6, [])],
-        ids=["edges", "g6"],
+        "n, gamma, flags, bound",
+        [(1997, 7, ["--format", "edges"], 2), (1997, 6, [], 1), (4096, 6, [], 3)],
+        ids=["edges", "g6", "g6-4096"],
     )
-    def test_construct_out_traced_peak(self, capsys, tmp_path, gamma, flags):
+    def test_construct_out_traced_peak(self, capsys, tmp_path, n, gamma, flags, bound):
         """The 4.7 MB edge list was held as a list of rows, their join and
         a copy with the last newline (a traced peak of about 14 MB), and
-        the graph6 record as a C(n, 2)-character bit string (about 4.4 MB)."""
+        the graph6 record as a C(n, 2)-character bit string (about 4.4 MB),
+        then joined whole from cuts made a character per bit (1.7 MB at
+        n = 1997, 5.9 MB at n = 4096); it is now written a cut at a time."""
         path = tmp_path / "big.out"
-        code, peak = traced_peak(["construct", "--n", "1997", "--gamma", str(gamma),
+        code, peak = traced_peak(["construct", "--n", str(n), "--gamma", str(gamma),
                                   *flags, "--out", str(path)])
         assert code == 0 and capsys.readouterr().err == ""
-        assert peak < 2 * 2**20
-        graph, _ = build_component_graph(1997, gamma)
+        assert peak < bound * 2**20
+        graph, _ = build_component_graph(n, gamma)
         if flags:
             assert path.read_text() == edge_list_oracle.write_edge_list(graph)
         else:

@@ -34,7 +34,7 @@ from domcount import (
     write_graph6,
 )
 from domcount.cli import _decoded, run_cli
-from domcount import scanning
+from domcount import graph6, scanning
 from domcount.errors import MixedOrderError, SizeLimitError
 from domcount.graph6 import TEXT_BLOCK, text_blocks
 from domcount.scanning import SCAN_BLOCK, PairMaximum, scan_corpus
@@ -603,6 +603,36 @@ class TestLineTypes:
         outcome = lines_outcome(scan_corpus, lines, mode, True)
         assert outcome == lines_outcome(oracle_scan_corpus, lines, mode, True)
         assert outcome[0][0] == "GraphParseError" and "non-ASCII" in outcome[0][1]
+
+    def test_non_ascii_line_is_parsed_alone(self, monkeypatch):
+        """A non-ASCII line of a canonical record's length made the block's
+        one canonical read refuse the whole joined text, so every line up
+        to it was parsed (8990 parses here); it is now read as a line of
+        another length, and only it and the space-led line are parsed."""
+        rng = random.Random(47)
+        records = [random_record(rng, 8, 5 / 8) for _ in range(9000)]
+        lines = [record.decode("ascii") + "\n" for record in records]
+        lines[100] = " " + lines[100]
+        lines[8990] = "Gé" + lines[8990][2:]
+        text = "".join(lines)
+        assert len(text) < TEXT_BLOCK
+        parses = []
+        parse = graph6.parse_graph6
+
+        def spy(record, strict=True):
+            parses.append(record)
+            return parse(record, strict)
+
+        monkeypatch.setattr(graph6, "parse_graph6", spy)
+        outcome = lines_outcome(scan_corpus, [text], "dominating", True)
+        monkeypatch.undo()
+        assert parses == [lines[100].strip(), lines[8990][:-1]]
+        assert outcome == lines_outcome(oracle_scan_corpus, [text], "dominating", True)
+        message = (
+            "non-ASCII graph6 record: 'ascii' codec can't encode character "
+            "'\\xe9' in position 1: ordinal not in range(128)"
+        )
+        assert outcome == (("GraphParseError", message), [])
 
 
 class TestBoundedBlocks:

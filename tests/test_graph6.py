@@ -28,7 +28,7 @@ from domcount import (
 from domcount.graph6 import _CUT_BITS, TEXT_BLOCK, canonical_reader, corpus_texts
 from domcount.graph6 import edge_list_lines
 from domcount.graph6 import edge_list_rows, read_edges, read_vertex_count
-from domcount.graph6 import first_record, graph6_order, graph6_records
+from domcount.graph6 import first_record, graph6_cuts, graph6_order, graph6_records
 from domcount.graphs import MAX_VERTICES
 from domcount.scanning import graph_from_edge_mask, pair_order
 
@@ -207,6 +207,11 @@ class TestWriterCuts:
             record = write_graph6(graph)
             assert record == oracle.write_graph6(graph)
             assert parse_graph6(record).rows == graph.rows
+            pieces = list(graph6_cuts(graph))
+            assert "".join(pieces) == record
+            assert (len(pieces) > 2) == (n >= first_cut_order())
+            # past the size field, each cut but the last is whole base64 quads
+            assert all(len(piece) % 4 == 0 for piece in pieces[1:-1])
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_edge_rows_match_oracle(self, n):
